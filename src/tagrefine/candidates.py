@@ -9,7 +9,7 @@ image's visual candidates; they attach to the image globally, not to a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .knowledge import AbstractAssertion, KnowledgeStore
@@ -42,12 +42,6 @@ class CandidateSets:
     per_box: dict[str, list[VisualCandidate]]
     abstract: list[AbstractCandidate]
 
-    def visual_labels(self) -> set[str]:
-        return {c.label for cands in self.per_box.values() for c in cands}
-
-    def is_empty(self) -> bool:
-        return not any(self.per_box.values()) and not self.abstract
-
 
 def expand_similar(box: BoundingBox, vsim_table: VsimTable, tau_s: float) -> set[str]:
     """Visually-similar labels the detector did not propose for this box."""
@@ -71,7 +65,7 @@ def expand_hypernyms(
 
 def generate_abstract(
     visual_candidates: set[str],
-    assertions: Iterable[AbstractAssertion],
+    by_subject: Mapping[str, Sequence[AbstractAssertion]],
     cap: int,
     srel_fn: SrelFn,
 ) -> list[AbstractCandidate]:
@@ -84,20 +78,23 @@ def generate_abstract(
     """
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
-    supporting: dict[str, dict[str, float]] = {}  # object -> subject -> max score
-    for a in assertions:
-        if a.subject not in visual_candidates or a.object in visual_candidates:
-            continue
-        by_subject = supporting.setdefault(a.object, {})
-        if a.score > by_subject.get(a.subject, 0.0):
-            by_subject[a.subject] = a.score
+    # object -> subject -> max score; max and the sorts below make the
+    # result independent of the order in which subjects are visited
+    supporting: dict[str, dict[str, float]] = {}
+    for subject in visual_candidates:
+        for a in by_subject.get(subject, ()):
+            if a.object in visual_candidates:
+                continue
+            scores = supporting.setdefault(a.object, {})
+            if a.score > scores.get(subject, 0.0):
+                scores[subject] = a.score
 
     out: list[AbstractCandidate] = []
     for obj in sorted(supporting):
-        by_subject = supporting[obj]
-        cnet = max(by_subject.values())
+        scores = supporting[obj]
+        cnet = max(scores.values())
         supports = tuple(
-            (subject, cnet * srel_fn(subject, obj)) for subject in sorted(by_subject)
+            (subject, cnet * srel_fn(subject, obj)) for subject in sorted(scores)
         )
         out.append(AbstractCandidate(label=obj, cnet=cnet, supports=supports))
     out.sort(key=lambda c: (-c.max_aconf(), c.label))
@@ -119,7 +116,9 @@ def generate(
     for box in record.boxes:
         original = list(box.labels())
         similar = sorted(expand_similar(box, store.vsim, hp.tau_s))
-        box_visual = set(original) | set(similar)
+        # ordered, not a set: gconf sums over it, and set order follows the
+        # string hash seed, which would change the last bits between runs
+        box_visual = original + similar
         hyper = expand_hypernyms(box_visual, store.parents)
 
         cands: list[VisualCandidate] = []
@@ -143,7 +142,7 @@ def generate(
         per_box[box.box_id] = cands
 
     all_visual = {c.label for cands in per_box.values() for c in cands}
-    abstract = generate_abstract(all_visual, store.assertions, hp.abstract_cap, srel_fn)
+    abstract = generate_abstract(all_visual, store.by_subject, hp.abstract_cap, srel_fn)
     return CandidateSets(
         box_ids=tuple(box.box_id for box in record.boxes),
         per_box=per_box,

@@ -32,6 +32,7 @@ from .knowledge import (
 )
 from .labels import Space, canon_label
 from .scoring import Hyperparameters
+from .textio import data_lines
 from .vsim import accumulate, finalize, read_detections_jsonl, read_vsim_tsv, write_vsim_tsv
 
 log = logging.getLogger(__name__)
@@ -40,7 +41,8 @@ EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_MISMATCH = 3
 
-HP_KEYS = ("alpha", "beta", "gamma", "kappa", "delta", "tau_s", "abstract_cap")
+HP_KEYS = ("alpha", "beta", "gamma", "kappa", "delta", "budget", "tau_s", "visir_star",
+           "abstract_cap")
 
 
 def _parse_scalar(text: str):
@@ -58,21 +60,14 @@ def _parse_scalar(text: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse a `key = value` config file (comments with #, blank lines ok)."""
+    """Parse a `key = value` config file; `#` also starts a trailing comment."""
     values = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise LoadError(path, f"expected `key = value`, got {raw.strip()!r}", lineno)
-            key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = _parse_scalar(value)
+    for lineno, line in data_lines(path):
+        setting = line.split("#", 1)[0]
+        if "=" not in setting:
+            raise LoadError(path, f"expected `key = value`, got {line.strip()!r}", lineno)
+        key, value = setting.split("=", 1)
+        values[key.strip().replace("-", "_")] = _parse_scalar(value)
     return values
 
 
@@ -86,20 +81,23 @@ def _parse_budget(text: str):
 
 
 def add_shared_flags(sub: argparse.ArgumentParser) -> None:
+    # hyperparameter flags set no attribute unless given, so a given flag,
+    # `--budget none` included, always wins over the config file
+    unset = argparse.SUPPRESS
     sub.add_argument("--config", help="key = value config file; flags win over it")
-    sub.add_argument("--alpha", type=float, default=None, help="visual evidence weight")
-    sub.add_argument("--beta", type=float, default=None, help="cross-box coherence weight")
-    sub.add_argument("--gamma", type=float, default=None, help="abstract coherence weight")
-    sub.add_argument("--kappa", type=float, default=None, help="generalization weight inside the visual term")
-    sub.add_argument("--delta", type=float, default=None, help="embedding-vs-colocation blend in [0, 1]")
-    sub.add_argument("--budget", type=_parse_budget, default=None,
+    sub.add_argument("--alpha", type=float, default=unset, help="visual evidence weight")
+    sub.add_argument("--beta", type=float, default=unset, help="cross-box coherence weight")
+    sub.add_argument("--gamma", type=float, default=unset, help="abstract coherence weight")
+    sub.add_argument("--kappa", type=float, default=unset, help="generalization weight inside the visual term")
+    sub.add_argument("--delta", type=float, default=unset, help="embedding-vs-colocation blend in [0, 1]")
+    sub.add_argument("--budget", type=_parse_budget, default=unset,
                      help="joint label budget (integer, default 5) or `none` to "
                           "disable the constraint and trim output afterwards")
-    sub.add_argument("--tau-s", type=float, default=None, dest="tau_s",
+    sub.add_argument("--tau-s", type=float, default=unset, dest="tau_s",
                      help="visual-similarity threshold in (0, 1]")
-    sub.add_argument("--visir-star", action="store_true", default=None, dest="visir_star",
+    sub.add_argument("--visir-star", action="store_true", default=unset, dest="visir_star",
                      help="cap selected visual labels at 80%% of the input boxes")
-    sub.add_argument("--abstract-cap", type=int, default=None, dest="abstract_cap",
+    sub.add_argument("--abstract-cap", type=int, default=unset, dest="abstract_cap",
                      help="abstract candidate cap per image before solving")
     sub.add_argument("--jobs", type=int, default=1, help="parallel image workers")
     sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
@@ -108,22 +106,10 @@ def add_shared_flags(sub: argparse.ArgumentParser) -> None:
 def resolve_hp(args) -> Hyperparameters:
     """Defaults, overridden by the config file, overridden by explicit flags."""
     config = read_config_file(args.config) if args.config else {}
-    values = {}
-    for key in (*HP_KEYS, "budget", "visir_star"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values[key] = flag
-        elif key in config:
-            values[key] = config[key]
-    # `--budget none` parses to None, which flag-absence also looks like;
-    # the raw argv disambiguates
-    if args.budget is None and _flag_given(args, "--budget"):
-        values["budget"] = None
+    flags = vars(args)
+    values = {key: config[key] for key in HP_KEYS if key in config}
+    values.update({key: flags[key] for key in HP_KEYS if key in flags})
     return replace(Hyperparameters(), **values)
-
-
-def _flag_given(args, flag: str) -> bool:
-    return any(tok == flag or tok.startswith(flag + "=") for tok in (args._argv or []))
 
 
 def add_knowledge_flags(sub: argparse.ArgumentParser) -> None:
@@ -156,7 +142,6 @@ def load_store(args) -> KnowledgeStore:
         ),
         assertions=load_assertions(args.assertions) if args.assertions else (),
         coloc=load_coloc(args.coloc) if args.coloc else None,
-        allowlist=allowlist,
         vsim=read_vsim_tsv(args.vsim) if args.vsim else None,
     )
 
@@ -201,24 +186,15 @@ def cmd_refine(args) -> int:
 
 def _read_refined_jsonl(path) -> dict[str, list[tuple[str, Space]]]:
     out: dict[str, list[tuple[str, Space]]] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-                labels = [
-                    (canon_label(entry["label"]), Space(entry["space"]))
-                    for entry in obj["labels"]
-                ]
-                out[str(obj["image"])] = labels
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LoadError(path, f"bad refined record: {exc}", lineno) from exc
+    for lineno, line in data_lines(path):
+        try:
+            obj = json.loads(line)
+            out[str(obj["image"])] = [
+                (canon_label(entry["label"]), Space(entry["space"]))
+                for entry in obj["labels"]
+            ]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(path, f"bad refined record: {exc}", lineno) from exc
     return out
 
 
@@ -281,20 +257,12 @@ def _parse_range(text: str) -> tuple[str, tuple[float, float]]:
 
 def _read_gold_jsonl(path) -> dict[str, set[str]]:
     gold: dict[str, set[str]] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-                gold[str(obj["image"])] = {canon_label(x) for x in obj["labels"]}
-            except (KeyError, TypeError, ValueError) as exc:
-                raise LoadError(path, f"bad gold record: {exc}", lineno) from exc
+    for lineno, line in data_lines(path):
+        try:
+            obj = json.loads(line)
+            gold[str(obj["image"])] = {canon_label(x) for x in obj["labels"]}
+        except (KeyError, TypeError, ValueError) as exc:
+            raise LoadError(path, f"bad gold record: {exc}", lineno) from exc
     return gold
 
 
@@ -379,10 +347,8 @@ def main(argv=None) -> int:
         stream=sys.stderr,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._argv = argv
     try:
         return args.func(args)
     except (LoadError, ConfigError) as exc:

@@ -18,6 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, LoadError
 from .labels import Space, canon_label
+from .textio import data_lines
 
 log = logging.getLogger(__name__)
 
@@ -137,27 +138,19 @@ def evaluate_images(
 def read_judgments_jsonl(path) -> dict[tuple[str, str], JudgedPool]:
     """Read graded pools: one JSON object per line, keyed (image, pool tag)."""
     pools: dict[tuple[str, str], JudgedPool] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-                image_id = str(obj["image"])
-                pool_tag = str(obj["pool"])
-                entries = {
-                    canon_label(label): tuple(int(g) for g in grades)
-                    for label, grades in obj["labels"].items()
-                }
-                pool = JudgedPool(image_id=image_id, entries=entries, pool_tag=pool_tag)
-            except (KeyError, TypeError, ValueError, ConfigError) as exc:
-                raise LoadError(path, f"bad judgment record: {exc}", lineno) from exc
-            pools[(image_id, pool_tag)] = pool
+    for lineno, line in data_lines(path):
+        try:
+            obj = json.loads(line)
+            image_id = str(obj["image"])
+            pool_tag = str(obj["pool"])
+            entries = {
+                canon_label(label): tuple(int(g) for g in grades)
+                for label, grades in obj["labels"].items()
+            }
+            pool = JudgedPool(image_id=image_id, entries=entries, pool_tag=pool_tag)
+        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+            raise LoadError(path, f"bad judgment record: {exc}", lineno) from exc
+        pools[(image_id, pool_tag)] = pool
     return pools
 
 

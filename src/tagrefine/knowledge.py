@@ -1,7 +1,7 @@
 """Background-knowledge tables: parsed once, validated, then immutable.
 
-All file formats are UTF-8 text; lines starting with `#` are comments and
-blank lines are skipped. Loaders are pure functions of the file contents,
+Files are read through `textio`, which sets the comment rule and the
+LoadError shape shared by every input. Loaders are pure functions of the file contents,
 so loading the same file twice yields equal tables.
 """
 
@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import LoadError
 from .labels import canon_label, tokens
+from .textio import data_lines, tsv_fields
 from .vsim import VsimTable
 
 log = logging.getLogger(__name__)
@@ -23,29 +24,6 @@ log = logging.getLogger(__name__)
 HYPERNYM_MAX_DEPTH = 3
 MAX_PARENTS_PER_CHILD = 3
 PERMITTED_RELATIONS = ("usedFor", "hasProperty")
-
-
-def _open(path):
-    try:
-        return open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-
-
-def _data_lines(fh):
-    """Yield (lineno, stripped line) skipping blanks and # comments."""
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        yield lineno, line
-
-
-def _tsv_fields(path, lineno, line, n):
-    parts = line.split("\t")
-    if len(parts) != n:
-        raise LoadError(path, f"expected {n} tab-separated fields, got {len(parts)}", lineno)
-    return parts
 
 
 # --- embeddings ---------------------------------------------------------------
@@ -84,28 +62,27 @@ def load_embeddings(path) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     dim = 0
     duplicates = 0
-    with _open(path) as fh:
-        for lineno, line in _data_lines(fh):
-            parts = line.split()
-            if len(parts) < 2:
-                raise LoadError(path, "expected `token v1 ... vd`", lineno)
-            token = canon_label(parts[0])
-            try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=float)
-            except ValueError as exc:
-                raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
-            if not np.all(np.isfinite(vec)):
-                raise LoadError(path, "non-finite vector component", lineno)
-            if dim == 0 and not vectors:
-                dim = vec.size
-            elif vec.size != dim:
-                raise LoadError(
-                    path, f"dimension mismatch: expected {dim}, got {vec.size}", lineno
-                )
-            if token in vectors:
-                duplicates += 1
-            vec.setflags(write=False)
-            vectors[token] = vec
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) < 2:
+            raise LoadError(path, "expected `token v1 ... vd`", lineno)
+        token = canon_label(parts[0])
+        try:
+            vec = np.array([float(x) for x in parts[1:]], dtype=float)
+        except ValueError as exc:
+            raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
+        if not np.all(np.isfinite(vec)):
+            raise LoadError(path, "non-finite vector component", lineno)
+        if dim == 0 and not vectors:
+            dim = vec.size
+        elif vec.size != dim:
+            raise LoadError(
+                path, f"dimension mismatch: expected {dim}, got {vec.size}", lineno
+            )
+        if token in vectors:
+            duplicates += 1
+        vec.setflags(write=False)
+        vectors[token] = vec
     if duplicates:
         log.warning("%s: %d duplicate embedding tokens (last wins)", path, duplicates)
     return EmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
@@ -126,17 +103,16 @@ class FrequencyAllowlist:
 def load_allowlist(path) -> FrequencyAllowlist:
     """Parse `label<TAB>score` rows; scores must be nonnegative reals."""
     entries: dict[str, float] = {}
-    with _open(path) as fh:
-        for lineno, line in _data_lines(fh):
-            label_s, score_s = _tsv_fields(path, lineno, line, 2)
-            try:
-                label = canon_label(label_s)
-                score = float(score_s)
-            except ValueError as exc:
-                raise LoadError(path, str(exc), lineno) from exc
-            if not math.isfinite(score) or score < 0:
-                raise LoadError(path, f"negative or non-finite score {score_s!r}", lineno)
-            entries[label] = score
+    for lineno, line in data_lines(path):
+        label_s, score_s = tsv_fields(path, lineno, line, 2)
+        try:
+            label = canon_label(label_s)
+            score = float(score_s)
+        except ValueError as exc:
+            raise LoadError(path, str(exc), lineno) from exc
+        if not math.isfinite(score) or score < 0:
+            raise LoadError(path, f"negative or non-finite score {score_s!r}", lineno)
+        entries[label] = score
     return FrequencyAllowlist(entries=entries)
 
 
@@ -159,31 +135,30 @@ def load_hypernyms(path, allowlist: FrequencyAllowlist, threshold: float = 0.0) 
     """
     by_pair: dict[tuple[str, str], int] = {}  # (child, parent) -> min depth
     dropped = 0
-    with _open(path) as fh:
-        for lineno, line in _data_lines(fh):
-            child_s, parent_s, depth_s = _tsv_fields(path, lineno, line, 3)
-            try:
-                child = canon_label(child_s)
-                parent = canon_label(parent_s)
-                depth = int(depth_s)
-            except ValueError as exc:
-                raise LoadError(path, str(exc), lineno) from exc
-            if not 1 <= depth <= HYPERNYM_MAX_DEPTH:
-                log.warning("%s:%d dropped: depth %d outside 1..%d",
-                            path, lineno, depth, HYPERNYM_MAX_DEPTH)
-                dropped += 1
-                continue
-            if child == parent:
-                log.warning("%s:%d dropped: self-loop %r", path, lineno, child)
-                dropped += 1
-                continue
-            if allowlist.score(parent) < threshold:
-                log.warning("%s:%d dropped: parent %r below allowlist threshold",
-                            path, lineno, parent)
-                dropped += 1
-                continue
-            key = (child, parent)
-            by_pair[key] = min(depth, by_pair.get(key, depth))
+    for lineno, line in data_lines(path):
+        child_s, parent_s, depth_s = tsv_fields(path, lineno, line, 3)
+        try:
+            child = canon_label(child_s)
+            parent = canon_label(parent_s)
+            depth = int(depth_s)
+        except ValueError as exc:
+            raise LoadError(path, str(exc), lineno) from exc
+        if not 1 <= depth <= HYPERNYM_MAX_DEPTH:
+            log.warning("%s:%d dropped: depth %d outside 1..%d",
+                        path, lineno, depth, HYPERNYM_MAX_DEPTH)
+            dropped += 1
+            continue
+        if child == parent:
+            log.warning("%s:%d dropped: self-loop %r", path, lineno, child)
+            dropped += 1
+            continue
+        if allowlist.score(parent) < threshold:
+            log.warning("%s:%d dropped: parent %r below allowlist threshold",
+                        path, lineno, parent)
+            dropped += 1
+            continue
+        key = (child, parent)
+        by_pair[key] = min(depth, by_pair.get(key, depth))
 
     by_child: dict[str, list[tuple[str, int]]] = {}
     for (child, parent), depth in by_pair.items():
@@ -229,30 +204,29 @@ def load_assertions(path) -> set[AbstractAssertion]:
     assertions: set[AbstractAssertion] = set()
     dropped_relation = 0
     dropped_score = 0
-    with _open(path) as fh:
-        for lineno, line in _data_lines(fh):
-            subj_s, rel_s, obj_s, score_s = _tsv_fields(path, lineno, line, 4)
-            try:
-                score = float(score_s)
-            except ValueError as exc:
-                raise LoadError(path, f"non-numeric score {score_s!r}", lineno) from exc
-            if not math.isfinite(score):
-                raise LoadError(path, f"non-finite score {score_s!r}", lineno)
-            rel = rel_s.strip()
-            if rel not in PERMITTED_RELATIONS:
-                dropped_relation += 1
-                continue
-            if score <= 0:
-                dropped_score += 1
-                continue
-            try:
-                subject = canon_label(subj_s)
-                obj = canon_label(obj_s)
-            except ValueError as exc:
-                raise LoadError(path, str(exc), lineno) from exc
-            assertions.add(
-                AbstractAssertion(subject=subject, relation=rel, object=obj, score=score)
-            )
+    for lineno, line in data_lines(path):
+        subj_s, rel_s, obj_s, score_s = tsv_fields(path, lineno, line, 4)
+        try:
+            score = float(score_s)
+        except ValueError as exc:
+            raise LoadError(path, f"non-numeric score {score_s!r}", lineno) from exc
+        if not math.isfinite(score):
+            raise LoadError(path, f"non-finite score {score_s!r}", lineno)
+        rel = rel_s.strip()
+        if rel not in PERMITTED_RELATIONS:
+            dropped_relation += 1
+            continue
+        if score <= 0:
+            dropped_score += 1
+            continue
+        try:
+            subject = canon_label(subj_s)
+            obj = canon_label(obj_s)
+        except ValueError as exc:
+            raise LoadError(path, str(exc), lineno) from exc
+        assertions.add(
+            AbstractAssertion(subject=subject, relation=rel, object=obj, score=score)
+        )
     if dropped_relation or dropped_score:
         log.warning("%s: dropped %d rows with unsupported relations, %d with non-positive scores",
                     path, dropped_relation, dropped_score)
@@ -262,11 +236,10 @@ def load_assertions(path) -> set[AbstractAssertion]:
 # --- co-location counts ----------------------------------------------------------
 
 class ColocTable:
-    """Symmetric co-tagging counts with per-label marginals."""
+    """Symmetric co-tagging counts and their largest pair count."""
 
     def __init__(self, counts: dict[tuple[str, str], int] | None = None):
         self._counts: dict[tuple[str, str], int] = {}
-        self.totals: dict[str, int] = {}
         self.max_count = 0
         for (a, b), n in (counts or {}).items():
             self._add(a, b, n)
@@ -276,8 +249,6 @@ class ColocTable:
             return
         key = (a, b) if a < b else (b, a)
         self._counts[key] = self._counts.get(key, 0) + n
-        self.totals[a] = self.totals.get(a, 0) + n
-        self.totals[b] = self.totals.get(b, 0) + n
         if self._counts[key] > self.max_count:
             self.max_count = self._counts[key]
 
@@ -302,21 +273,20 @@ def load_coloc(path) -> ColocTable:
     """Parse `label1<TAB>label2<TAB>count`; repeated pairs (either order) sum."""
     table = ColocTable()
     self_pairs = 0
-    with _open(path) as fh:
-        for lineno, line in _data_lines(fh):
-            a_s, b_s, count_s = _tsv_fields(path, lineno, line, 3)
-            try:
-                a = canon_label(a_s)
-                b = canon_label(b_s)
-                count = int(count_s)
-            except ValueError as exc:
-                raise LoadError(path, str(exc), lineno) from exc
-            if count < 0:
-                raise LoadError(path, f"negative count {count}", lineno)
-            if a == b:
-                self_pairs += 1
-                continue
-            table._add(a, b, count)
+    for lineno, line in data_lines(path):
+        a_s, b_s, count_s = tsv_fields(path, lineno, line, 3)
+        try:
+            a = canon_label(a_s)
+            b = canon_label(b_s)
+            count = int(count_s)
+        except ValueError as exc:
+            raise LoadError(path, str(exc), lineno) from exc
+        if count < 0:
+            raise LoadError(path, f"negative count {count}", lineno)
+        if a == b:
+            self_pairs += 1
+            continue
+        table._add(a, b, count)
     if self_pairs:
         log.warning("%s: ignored %d self-pair rows", path, self_pairs)
     return table
@@ -333,12 +303,9 @@ class KnowledgeStore:
     """
 
     embeddings: EmbeddingTable
-    hypernym_edges: frozenset[HypernymEdge]
     parents: Mapping[str, tuple[str, ...]]          # child -> retained parents
-    assertions: tuple[AbstractAssertion, ...]        # sorted, deterministic
-    by_subject: Mapping[str, tuple[AbstractAssertion, ...]]
+    by_subject: Mapping[str, tuple[AbstractAssertion, ...]]  # sorted by object
     coloc: ColocTable
-    allowlist: FrequencyAllowlist
     vsim: VsimTable
 
     @classmethod
@@ -348,23 +315,15 @@ class KnowledgeStore:
         hypernym_edges: Iterable[HypernymEdge] = (),
         assertions: Iterable[AbstractAssertion] = (),
         coloc: ColocTable | None = None,
-        allowlist: FrequencyAllowlist | None = None,
         vsim: VsimTable | None = None,
     ) -> "KnowledgeStore":
-        edge_set = frozenset(hypernym_edges)
-        sorted_assertions = tuple(
-            sorted(assertions, key=lambda a: (a.subject, a.object, a.relation, -a.score))
-        )
         by_subject: dict[str, list[AbstractAssertion]] = {}
-        for a in sorted_assertions:
+        for a in sorted(assertions, key=lambda a: (a.subject, a.object, a.relation, -a.score)):
             by_subject.setdefault(a.subject, []).append(a)
         return cls(
             embeddings=embeddings or EmbeddingTable(dim=0, vectors={}),
-            hypernym_edges=edge_set,
-            parents=build_parent_index(edge_set),
-            assertions=sorted_assertions,
+            parents=build_parent_index(hypernym_edges),
             by_subject={s: tuple(v) for s, v in by_subject.items()},
             coloc=coloc or ColocTable(),
-            allowlist=allowlist or FrequencyAllowlist(),
             vsim=vsim or VsimTable(),
         )

@@ -12,26 +12,10 @@ co-location term at full `1 - delta` weight lost, not renormalized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
 from .knowledge import ColocTable, EmbeddingTable
-
-COLOC_NORM_MODES = ("max",)
-
-
-@dataclass(frozen=True)
-class RelatednessConfig:
-    delta: float = 0.5
-    coloc_norm: str = "max"
-
-    def __post_init__(self):
-        if not 0.0 <= self.delta <= 1.0:
-            raise ConfigError(f"delta must be in [0, 1], got {self.delta!r}")
-        if self.coloc_norm not in COLOC_NORM_MODES:
-            raise ConfigError(f"unknown coloc normalization {self.coloc_norm!r}")
 
 
 def cosine(a: str, b: str, emb: EmbeddingTable) -> float:
@@ -59,8 +43,8 @@ def coloc(a: str, b: str, table: ColocTable) -> float:
     return table.get(a, b) / table.max_count
 
 
-def srel(a: str, b: str, cfg: RelatednessConfig, emb: EmbeddingTable, table: ColocTable) -> float:
-    value = cfg.delta * cosine(a, b, emb) + (1.0 - cfg.delta) * coloc(a, b, table)
+def srel(a: str, b: str, delta: float, emb: EmbeddingTable, table: ColocTable) -> float:
+    value = delta * cosine(a, b, emb) + (1.0 - delta) * coloc(a, b, table)
     # guard against accumulation slop at the boundaries
     return min(1.0, max(0.0, value))
 
@@ -73,7 +57,9 @@ class Relatedness:
     """
 
     def __init__(self, emb: EmbeddingTable, coloc_table: ColocTable, delta: float = 0.5):
-        self.cfg = RelatednessConfig(delta=delta)
+        if not 0.0 <= delta <= 1.0:
+            raise ConfigError(f"delta must be in [0, 1], got {delta!r}")
+        self.delta = delta
         self.emb = emb
         self.coloc_table = coloc_table
         self._cache: dict[tuple[str, str], float] = {}
@@ -85,15 +71,9 @@ class Relatedness:
             key = (a, b) if a < b else (b, a)
         hit = self._cache.get(key)
         if hit is None:
-            hit = srel(key[0], key[1], self.cfg, self.emb, self.coloc_table)
+            hit = srel(key[0], key[1], self.delta, self.emb, self.coloc_table)
             self._cache[key] = hit
         return hit
-
-    def cosine(self, a: str, b: str) -> float:
-        return cosine(a, b, self.emb)
-
-    def coloc(self, a: str, b: str) -> float:
-        return coloc(a, b, self.coloc_table)
 
 
 def image_coherence(top_labels: list[str], rel: Relatedness) -> float:

@@ -1,23 +1,24 @@
 """Confidence scores feeding the selection objective.
 
-Three families:
+Two families:
 
 * vconf -- how strongly the detector (directly or through visual similarity)
   backs a concrete label for a box;
 * gconf -- how strongly a hypernym generalizes the box's visual labels,
-  summed semantic relatedness to its children present in the box;
-* aconf -- how strongly an abstract phrase fits a visual label, the
-  assertion's source weight times their semantic relatedness.
+  summed semantic relatedness to its children present in the box.
+
+Abstract candidates are scored in `candidates.generate_abstract`: a visual
+label supports a phrase with the phrase's strongest assertion weight (cnet)
+times their semantic relatedness.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, ContractViolation
-from .knowledge import AbstractAssertion
 from .vsim import BoundingBox, VsimTable
 
 SrelFn = Callable[[str, str], float]
@@ -83,7 +84,7 @@ def vconf(box: BoundingBox, label: str, vsim_table: VsimTable) -> float:
 
 
 def gconf(
-    box_visual_labels: Iterable[str],
+    box_visual_labels: Sequence[str],
     hypernym: str,
     parents: Mapping[str, tuple[str, ...]],
     srel_fn: SrelFn,
@@ -91,18 +92,14 @@ def gconf(
     """Generalization confidence: summed relatedness to children in this box.
 
     Exactly 0 for labels that are themselves original or similar candidates
-    of the box.
+    of the box. Sums in the order of `box_visual_labels`, so an ordered
+    sequence gives the same bits in every process.
     """
-    labels = list(box_visual_labels)
-    if hypernym in labels:
+    if hypernym in box_visual_labels:
         return 0.0
     total = 0.0
-    for child in labels:
+    for child in box_visual_labels:
         if hypernym in parents.get(child, ()):
             total += srel_fn(hypernym, child)
     return total
 
-
-def aconf(label: str, assertion: AbstractAssertion, srel_fn: SrelFn) -> float:
-    """Abstraction confidence: assertion weight times semantic relatedness."""
-    return assertion.score * srel_fn(label, assertion.object)

@@ -23,6 +23,7 @@ from typing import Iterable, Iterator
 
 from .errors import LoadError
 from .labels import canon_label
+from .textio import data_lines, tsv_fields
 
 log = logging.getLogger(__name__)
 
@@ -194,7 +195,7 @@ def parse_record(obj: dict) -> DetectionRecord:
                 for c in box_obj.get("candidates", [])
             )
             boxes.append(BoundingBox(box_id=str(box_obj["id"]), candidates=cands))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed detection record: {exc}") from exc
     record = DetectionRecord(image_id=image_id, boxes=tuple(boxes))
     validate_record(record)
@@ -211,25 +212,17 @@ def read_detections_jsonl(path) -> tuple[list[DetectionRecord], int]:
     records: list[DetectionRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                record = parse_record(json.loads(line))
-                if record.image_id in seen_ids:
-                    raise ValueError(f"duplicate image id {record.image_id!r}")
-            except ValueError as exc:
-                log.warning("%s:%d skipped: %s", path, lineno, exc)
-                skipped += 1
-                continue
-            seen_ids.add(record.image_id)
-            records.append(record)
+    for lineno, line in data_lines(path):
+        try:
+            record = parse_record(json.loads(line))
+            if record.image_id in seen_ids:
+                raise ValueError(f"duplicate image id {record.image_id!r}")
+        except ValueError as exc:
+            log.warning("%s:%d skipped: %s", path, lineno, exc)
+            skipped += 1
+            continue
+        seen_ids.add(record.image_id)
+        records.append(record)
     return records, skipped
 
 
@@ -241,30 +234,21 @@ def write_vsim_tsv(table: VsimTable, path) -> None:
 
 
 def read_vsim_tsv(path) -> VsimTable:
+    """Read `label1<TAB>label2<TAB>score` rows; any bad or duplicate row is a LoadError."""
     scores: dict[tuple[str, str], float] = {}
-    try:
-        fh = open(path, "r", encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(path, f"cannot open: {exc.strerror}") from exc
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise LoadError(path, f"expected 3 tab-separated fields, got {len(parts)}", lineno)
-            try:
-                a, b = canon_label(parts[0]), canon_label(parts[1])
-                score = float(parts[2])
-            except ValueError as exc:
-                raise LoadError(path, str(exc), lineno) from exc
-            if a == b:
-                raise LoadError(path, f"self-pair {a!r}", lineno)
-            if not (0.0 <= score <= 1.0):
-                raise LoadError(path, f"score {score!r} outside [0, 1]", lineno)
-            key = _pair(a, b)
-            if key in scores:
-                raise LoadError(path, f"duplicate pair {key!r}", lineno)
-            scores[key] = score
+    for lineno, line in data_lines(path):
+        a_s, b_s, score_s = tsv_fields(path, lineno, line, 3)
+        try:
+            a, b = canon_label(a_s), canon_label(b_s)
+            score = float(score_s)
+        except ValueError as exc:
+            raise LoadError(path, str(exc), lineno) from exc
+        if a == b:
+            raise LoadError(path, f"self-pair {a!r}", lineno)
+        if not (0.0 <= score <= 1.0):
+            raise LoadError(path, f"score {score!r} outside [0, 1]", lineno)
+        key = _pair(a, b)
+        if key in scores:
+            raise LoadError(path, f"duplicate pair {key!r}", lineno)
+        scores[key] = score
     return VsimTable(scores)

@@ -38,6 +38,5 @@ def fixture_store() -> KnowledgeStore:
         hypernym_edges=load_hypernyms(FIXTURES / "hypernyms.tsv", allowlist),
         assertions=load_assertions(FIXTURES / "assertions.tsv"),
         coloc=load_coloc(FIXTURES / "coloc.tsv"),
-        allowlist=allowlist,
         vsim=finalize(accumulate(corpus)),
     )

@@ -6,12 +6,17 @@ criterion. Fuzzed criteria log their seeds so failures replay exactly.
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tagrefine
 from instgen import random_instance
 from tagrefine.cli import main
 from tagrefine.evaluation import f1, recall
@@ -280,3 +285,45 @@ def test_full_pipeline_determinism(fixtures_dir, tmp_path):
     assert outputs[0] == outputs[1], "rerun differs"
     assert outputs[0] == outputs[2], "--jobs 4 differs"
     report("pipeline determinism (rerun and --jobs 4 byte-identical)")
+
+
+def test_hash_seed_determinism(tmp_path):
+    """refine writes the same bytes under any PYTHONHASHSEED.
+
+    Each box holds three children of one hypernym whose relatedness to it is
+    0.1, 0.2 and 0.3 (delta 0, co-location counts 1, 2 and 3 of a maximum
+    of 10). Their sum, the hypernym's gconf and so the objective, differs in
+    the last bit with summation order, so a sum taken in set order, which
+    follows the string hash seed, would show in the output.
+    """
+    triples = [("ant", "bee", "cicada"), ("dog", "fox", "wolf"),
+               ("oak", "elm", "ash"), ("cod", "eel", "ray")]
+    detections, hypernyms, coloc = [], [], ["x\ty\t10"]
+    for n, kids in enumerate(triples):
+        parent = f"group {n}"
+        detections.append(json.dumps({"image": f"i{n}", "boxes": [{"id": "b", "candidates": [
+            {"label": kid, "conf": 0.01} for kid in kids]}]}))
+        for count, kid in enumerate(kids, start=1):
+            hypernyms.append(f"{kid}\t{parent}\t1")
+            coloc.append(f"{kid}\t{parent}\t{count}")
+    files = {"detections.jsonl": detections, "hypernyms.tsv": hypernyms, "coloc.tsv": coloc}
+    for name, lines in files.items():
+        (tmp_path / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    src = str(Path(tagrefine.__file__).resolve().parents[1])
+    outputs = {}
+    for seed in ("0", "1", "2", "3", "4", "5"):
+        out = tmp_path / f"refined-{seed}.jsonl"
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+        subprocess.run(
+            [sys.executable, "-m", "tagrefine.cli", "refine",
+             "--detections", str(tmp_path / "detections.jsonl"),
+             "--hypernyms", str(tmp_path / "hypernyms.tsv"),
+             "--coloc", str(tmp_path / "coloc.tsv"),
+             "--delta", "0", "--kappa", "1", "--out", str(out)],
+            env=env, check=True, stdout=subprocess.DEVNULL)
+        outputs[seed] = out.read_bytes()
+    assert all(b'"space": "XL"' in line for line in outputs["0"].splitlines())
+    assert len(set(outputs.values())) == 1, "output depends on PYTHONHASHSEED"
+    report("hash-seed determinism (refined JSONL byte-identical)")

@@ -22,6 +22,10 @@ def box(bid="b1", **cands):
 FLAT_SREL = lambda a, b: 0.5
 
 
+def by_subject(assertions):
+    return KnowledgeStore.assemble(assertions=assertions).by_subject
+
+
 class TestExpandSimilar:
     def test_neighbors_of_original(self):
         table = VsimTable({("a", "b"): 0.6})
@@ -52,18 +56,18 @@ class TestExpandHypernyms:
 class TestGenerateAbstract:
     def test_used_for_creates_candidate(self):
         assertions = {AbstractAssertion("accordion", "usedFor", "make music", 2.0)}
-        out = generate_abstract({"accordion"}, assertions, 10, FLAT_SREL)
+        out = generate_abstract({"accordion"}, by_subject(assertions), 10, FLAT_SREL)
         assert [c.label for c in out] == ["make music"]
         assert out[0].supports == (("accordion", 1.0),)
 
     def test_has_property_creates_candidate(self):
         assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
-        out = generate_abstract({"snake"}, assertions, 10, FLAT_SREL)
+        out = generate_abstract({"snake"}, by_subject(assertions), 10, FLAT_SREL)
         assert [c.label for c in out] == ["poisonous"]
 
     def test_no_matching_subject_is_empty(self):
         assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
-        assert generate_abstract({"piano"}, assertions, 10, FLAT_SREL) == []
+        assert generate_abstract({"piano"}, by_subject(assertions), 10, FLAT_SREL) == []
 
     def test_cap_truncates_by_score_then_label(self):
         assertions = {
@@ -71,25 +75,25 @@ class TestGenerateAbstract:
             AbstractAssertion("x", "usedFor", "bb", 3.0),
             AbstractAssertion("x", "usedFor", "cc", 1.0),
         }
-        out = generate_abstract({"x"}, assertions, 2, FLAT_SREL)
+        out = generate_abstract({"x"}, by_subject(assertions), 2, FLAT_SREL)
         assert [c.label for c in out] == ["bb", "aa"]  # tie aa/cc -> lexicographic
 
     def test_cap_below_one_rejected(self):
         with pytest.raises(ConfigError):
-            generate_abstract({"x"}, set(), 0, FLAT_SREL)
+            generate_abstract({"x"}, {}, 0, FLAT_SREL)
 
     def test_duplicate_assertions_take_max_score(self):
         assertions = {
             AbstractAssertion("x", "usedFor", "aa", 1.0),
             AbstractAssertion("x", "hasProperty", "aa", 4.0),
         }
-        out = generate_abstract({"x"}, assertions, 5, FLAT_SREL)
+        out = generate_abstract({"x"}, by_subject(assertions), 5, FLAT_SREL)
         assert out[0].cnet == 4.0
         assert out[0].supports == (("x", 2.0),)
 
     def test_collision_with_visual_label_skipped(self):
         assertions = {AbstractAssertion("x", "usedFor", "y", 1.0)}
-        assert generate_abstract({"x", "y"}, assertions, 5, FLAT_SREL) == []
+        assert generate_abstract({"x", "y"}, by_subject(assertions), 5, FLAT_SREL) == []
 
     def test_multiple_supports_ranked_by_best(self):
         assertions = {
@@ -97,10 +101,23 @@ class TestGenerateAbstract:
             AbstractAssertion("b", "usedFor", "zz", 6.0),
             AbstractAssertion("a", "usedFor", "yy", 5.0),
         }
-        out = generate_abstract({"a", "b"}, assertions, 5, FLAT_SREL)
+        out = generate_abstract({"a", "b"}, by_subject(assertions), 5, FLAT_SREL)
         # zz: cnet 6 -> max aconf 3.0; yy: cnet 5 -> 2.5
         assert [c.label for c in out] == ["zz", "yy"]
         assert out[0].supports == (("a", 3.0), ("b", 3.0))
+
+    def test_support_is_cnet_times_srel(self):
+        assertions = {AbstractAssertion("baby", "hasProperty", "newborn", 10.17)}
+        for s in (0.25, 0.5, 1.0):
+            out = generate_abstract({"baby"}, by_subject(assertions), 10, lambda a, b: s)
+            [(subject, support)] = out[0].supports
+            assert subject == "baby"
+            assert support == pytest.approx(10.17 * s)
+
+    def test_zero_relatedness_gives_zero_support(self):
+        assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
+        out = generate_abstract({"snake"}, by_subject(assertions), 10, lambda a, b: 0.0)
+        assert out[0].supports == (("snake", 0.0),)
 
 
 class TestGenerate:

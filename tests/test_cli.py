@@ -127,6 +127,14 @@ class TestRefine:
         sizes = [len(r["labels"]) for r in read_jsonl(out_flag)]
         assert max(sizes) > 2  # flag wins over config
 
+        out_none = tmp_path / "none.jsonl"
+        rc = main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
+                   "--out", str(out_none), "--config", str(config),
+                   "--budget", "none", *knowledge_args])
+        assert rc == 0
+        sizes = [len(r["labels"]) for r in read_jsonl(out_none)]
+        assert 2 < max(sizes) <= 5  # `none` wins over config: no budget, trimmed to 5
+
     def test_select_incoherent_filter(self, tmp_path, knowledge_args):
         detections = tmp_path / "det.jsonl"
         rows = [

@@ -7,7 +7,6 @@ from tagrefine.errors import ConfigError
 from tagrefine.knowledge import ColocTable, EmbeddingTable
 from tagrefine.relatedness import (
     Relatedness,
-    RelatednessConfig,
     coloc,
     cosine,
     image_coherence,
@@ -74,22 +73,20 @@ class TestSrel:
         # delta .6, cosine .5, coloc .25 -> .4
         table = emb(a=[1.0, 0.0], b=[0.5, np.sqrt(3) / 2])  # cos = 0.5
         cl = ColocTable({("a", "b"): 1, ("x", "y"): 4})  # coloc = 0.25
-        cfg = RelatednessConfig(delta=0.6)
-        assert srel("a", "b", cfg, table, cl) == pytest.approx(0.4)
+        assert srel("a", "b", 0.6, table, cl) == pytest.approx(0.4)
 
     def test_delta_one_is_pure_cosine(self):
         table = emb(a=[1.0, 1.0], b=[1.0, 0.0])
         cl = ColocTable({("a", "b"): 3})
-        cfg = RelatednessConfig(delta=1.0)
-        assert srel("a", "b", cfg, table, cl) == pytest.approx(cosine("a", "b", table))
+        assert srel("a", "b", 1.0, table, cl) == pytest.approx(cosine("a", "b", table))
 
     def test_delta_zero_unseen_pair_is_zero(self):
         table = emb(a=[1.0, 0.0], b=[1.0, 0.0])
-        assert srel("a", "b", RelatednessConfig(delta=0.0), table, ColocTable()) == 0.0
+        assert srel("a", "b", 0.0, table, ColocTable()) == 0.0
 
     def test_delta_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            RelatednessConfig(delta=1.5)
+            Relatedness(emb(a=[1.0]), ColocTable(), delta=1.5)
 
     @given(
         st.floats(0, 1),
@@ -102,26 +99,24 @@ class TestSrel:
     def test_symmetric_and_in_unit_interval(self, delta, va, vb, count, cmax):
         table = emb(a=va, b=vb)
         cl = ColocTable({("a", "b"): min(count, cmax), ("p", "q"): cmax})
-        cfg = RelatednessConfig(delta=delta)
-        ab = srel("a", "b", cfg, table, cl)
-        ba = srel("b", "a", cfg, table, cl)
+        ab = srel("a", "b", delta, table, cl)
+        ba = srel("b", "a", delta, table, cl)
         assert ab == ba
         assert 0.0 <= ab <= 1.0
 
     def test_monotone_in_both_components(self):
-        cfg = RelatednessConfig(delta=0.5)
+        delta = 0.5
         lo_cos = emb(a=[1.0, 0.0], b=[0.5, np.sqrt(3) / 2])
         hi_cos = emb(a=[1.0, 0.0], b=[1.0, 0.1])
         cl_lo = ColocTable({("a", "b"): 1, ("p", "q"): 10})
         cl_hi = ColocTable({("a", "b"): 8, ("p", "q"): 10})
-        assert srel("a", "b", cfg, hi_cos, cl_lo) > srel("a", "b", cfg, lo_cos, cl_lo)
-        assert srel("a", "b", cfg, lo_cos, cl_hi) > srel("a", "b", cfg, lo_cos, cl_lo)
+        assert srel("a", "b", delta, hi_cos, cl_lo) > srel("a", "b", delta, lo_cos, cl_lo)
+        assert srel("a", "b", delta, lo_cos, cl_hi) > srel("a", "b", delta, lo_cos, cl_lo)
 
     def test_empty_coloc_reduces_to_weighted_cosine(self):
         table = emb(a=[1.0, 2.0], b=[2.0, 1.0])
-        cfg = RelatednessConfig(delta=0.7)
         expected = 0.7 * cosine("a", "b", table)
-        assert srel("a", "b", cfg, table, ColocTable()) == pytest.approx(expected)
+        assert srel("a", "b", 0.7, table, ColocTable()) == pytest.approx(expected)
 
 
 class TestRelatednessCache:
@@ -129,7 +124,7 @@ class TestRelatednessCache:
         table = emb(a=[1.0, 0.5], b=[0.3, 1.0])
         cl = ColocTable({("a", "b"): 2, ("p", "q"): 4})
         rel = Relatedness(table, cl, delta=0.4)
-        direct = srel("a", "b", rel.cfg, table, cl)
+        direct = srel("a", "b", 0.4, table, cl)
         assert rel.srel("a", "b") == direct
         assert rel.srel("b", "a") == direct  # cache key is unordered
 

@@ -1,8 +1,7 @@
 import pytest
 
 from tagrefine.errors import ConfigError, ContractViolation
-from tagrefine.knowledge import AbstractAssertion
-from tagrefine.scoring import Hyperparameters, aconf, gconf, vconf
+from tagrefine.scoring import Hyperparameters, gconf, vconf
 from tagrefine.vsim import BoundingBox, VsimTable
 
 
@@ -61,38 +60,20 @@ class TestGconf:
 
     def test_single_child(self):
         srel = lambda a, b: 0.6
-        assert gconf({"ant"}, "insect", self.parents, srel) == pytest.approx(0.6)
+        assert gconf(["ant"], "insect", self.parents, srel) == pytest.approx(0.6)
 
     def test_two_children_sum(self):
         srel = lambda a, b: {"ant": 0.6, "bee": 0.3}[b]
-        got = gconf({"ant", "bee"}, "insect", self.parents, srel)
+        got = gconf(["ant", "bee"], "insect", self.parents, srel)
         assert got == pytest.approx(0.9)  # 0.6 + 0.3, by hand
 
     def test_zero_for_non_hypernym_candidates(self):
         srel = lambda a, b: 0.9
         # a label that is itself an original/similar candidate scores 0
-        assert gconf({"ant", "insect"}, "insect", self.parents, srel) == 0.0
-        assert gconf({"ant"}, "ant", self.parents, srel) == 0.0
+        assert gconf(["ant", "insect"], "insect", self.parents, srel) == 0.0
+        assert gconf(["ant"], "ant", self.parents, srel) == 0.0
 
     def test_zero_when_no_children_present(self):
         srel = lambda a, b: 0.9
-        assert gconf({"dog"}, "insect", self.parents, srel) == 0.0
+        assert gconf(["dog"], "insect", self.parents, srel) == 0.0
 
-
-class TestAconf:
-    def test_product(self):
-        a = AbstractAssertion("baby", "hasProperty", "newborn", 10.17)
-        assert aconf("baby", a, lambda x, y: 0.5) == pytest.approx(5.085)
-
-    def test_zero_relatedness_annihilates(self):
-        a = AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)
-        assert aconf("cucumber", a, lambda x, y: 0.0) == 0.0
-
-    def test_identity(self):
-        a = AbstractAssertion("x", "usedFor", "y", 1.0)
-        assert aconf("x", a, lambda x, y: 1.0) == 1.0
-
-    def test_nonnegative_for_valid_inputs(self):
-        a = AbstractAssertion("x", "usedFor", "y", 3.7)
-        for s in (0.0, 0.25, 1.0):
-            assert aconf("x", a, lambda x, y, s=s: s) >= 0.0

@@ -1,0 +1,78 @@
+"""Behaviour every text-input reader shares: comment rule, open errors, line numbers."""
+
+import json
+
+import pytest
+
+from tagrefine.cli import _read_gold_jsonl, _read_refined_jsonl, read_config_file
+from tagrefine.errors import LoadError
+from tagrefine.evaluation import read_judgments_jsonl
+from tagrefine.knowledge import (
+    FrequencyAllowlist,
+    load_allowlist,
+    load_assertions,
+    load_coloc,
+    load_embeddings,
+    load_hypernyms,
+)
+from tagrefine.vsim import read_detections_jsonl, read_vsim_tsv
+
+DETECTION = json.dumps({"image": "i1", "boxes": [
+    {"id": "b", "candidates": [{"label": "a", "conf": 0.5}]}]})
+
+# name -> (reader, one good data line, one malformed data line)
+READERS = {
+    "vsim": (read_vsim_tsv, "a\tb\t0.5", "a\tb"),
+    "detections": (read_detections_jsonl, DETECTION, '{"image": "i2", "boxes": ["b"]}'),
+    "judgments": (read_judgments_jsonl, '{"image": "i1", "pool": "CL", "labels": {"a": [2]}}',
+                  '{"image": "i1", "pool": "CL", "labels": ["a"]}'),
+    "refined": (_read_refined_jsonl,
+                '{"image": "i1", "labels": [{"label": "a", "space": "CL", "box": "b"}]}',
+                '{"image": "i1", "labels": [{"label": "a", "space": "??"}]}'),
+    "gold": (_read_gold_jsonl, '{"image": "i1", "labels": ["a"]}', "{broken"),
+    "config": (read_config_file, "alpha = 1  # trailing comment", "alpha 1"),
+    # embedding tables hold arrays, which do not compare with ==
+    "embeddings": (lambda path: sorted(load_embeddings(path).vectors), "a 1.0 2.0", "a"),
+    "hypernyms": (lambda path: load_hypernyms(path, FrequencyAllowlist()), "a\tb\t1", "a\tb"),
+    "assertions": (load_assertions, "a\tusedFor\tb\t1.0", "a\tusedFor\tb"),
+    "coloc": (load_coloc, "a\tb\t3", "a\tb\tmany"),
+    "allowlist": (load_allowlist, "a\t1.0", "a"),
+}
+
+
+def write(tmp_path, lines):
+    path = tmp_path / "input.txt"
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_blank_and_comment_lines_skipped(name, tmp_path):
+    read, good, _ = READERS[name]
+    plain = read(write(tmp_path, [good]))
+    commented = read(write(tmp_path, ["", "# comment", "   # indented", "\t# tab", good, "  "]))
+    assert commented == plain
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_unopenable_path_names_path(name, tmp_path):
+    read = READERS[name][0]
+    missing = tmp_path / "missing.txt"
+    with pytest.raises(LoadError, match="cannot open") as info:
+        read(missing)
+    assert info.value.path == str(missing)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_malformed_line_reported_by_number(name, tmp_path):
+    read, good, bad = READERS[name]
+    path = write(tmp_path, ["# header", good, bad])
+    if name == "detections":  # the one lenient reader: skip and count
+        records, skipped = read(path)
+        assert [r.image_id for r in records] == ["i1"]
+        assert skipped == 1
+        return
+    with pytest.raises(LoadError) as info:
+        read(path)
+    assert info.value.line == 3
+    assert f"{path}:3:" in str(info.value)
