@@ -106,14 +106,6 @@ class TestGenerateAbstract:
         assert [c.label for c in out] == ["zz", "yy"]
         assert out[0].supports == (("a", 3.0), ("b", 3.0))
 
-    def test_support_is_cnet_times_srel(self):
-        assertions = {AbstractAssertion("baby", "hasProperty", "newborn", 10.17)}
-        for s in (0.25, 0.5, 1.0):
-            out = generate_abstract({"baby"}, by_subject(assertions), 10, lambda a, b: s)
-            [(subject, support)] = out[0].supports
-            assert subject == "baby"
-            assert support == pytest.approx(10.17 * s)
-
     def test_zero_relatedness_gives_zero_support(self):
         assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
         out = generate_abstract({"snake"}, by_subject(assertions), 10, lambda a, b: 0.0)
