@@ -81,6 +81,7 @@ def _parse_budget(text: str):
 
 
 def add_shared_flags(sub: argparse.ArgumentParser) -> None:
+    """`--config`, the nine hyperparameters and `--jobs`: refine and tune."""
     # hyperparameter flags set no attribute unless given, so a given flag,
     # `--budget none` included, always wins over the config file
     unset = argparse.SUPPRESS
@@ -99,8 +100,8 @@ def add_shared_flags(sub: argparse.ArgumentParser) -> None:
                      help="cap selected visual labels at 80%% of the input boxes")
     sub.add_argument("--abstract-cap", type=int, default=unset, dest="abstract_cap",
                      help="abstract candidate cap per image before solving")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel image workers")
-    sub.add_argument("--seed", type=int, default=0, help="seed for randomized steps")
+    sub.add_argument("--jobs", type=int, default=1,
+                     help="parallel image workers (tune refines one image at a time)")
 
 
 def resolve_hp(args) -> Hyperparameters:
@@ -306,7 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mine = sub.add_parser("mine-vsim", help="mine the visual-similarity table from a corpus")
     p_mine.add_argument("--corpus", required=True, help="detections JSONL")
     p_mine.add_argument("--out", required=True, help="output TSV path")
-    add_shared_flags(p_mine)
     p_mine.set_defaults(func=cmd_mine_vsim)
 
     p_refine = sub.add_parser("refine", help="jointly select labels for detection records")
@@ -324,7 +324,6 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="[NAME=]PATH", help="refined JSONL; repeatable")
     p_eval.add_argument("--judgments", required=True, help="graded pools JSONL")
     p_eval.add_argument("--out", required=True, help="metrics TSV path")
-    add_shared_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_tune = sub.add_parser("tune", help="randomized hyperparameter search")
@@ -334,6 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--range", action="append", type=_parse_range,
                         metavar="NAME=LO:HI", help="sampling range; repeatable")
     p_tune.add_argument("--out", required=True, help="trial log TSV path")
+    p_tune.add_argument("--seed", type=int, default=0, help="seed of the trial sampler")
     add_knowledge_flags(p_tune)
     add_shared_flags(p_tune)
     p_tune.set_defaults(func=cmd_tune)

@@ -222,7 +222,7 @@ def tune(
     """
     from dataclasses import replace
 
-    from .pipeline import refine_record
+    from .pipeline import make_relatedness, refine_record
 
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials!r}")
@@ -235,9 +235,10 @@ def tune(
     for trial in range(trials):
         params = sample_params(rng, space)
         hp = replace(base_hp, **params)
+        rel = make_relatedness(store, hp)  # the trial's images share one delta
         f_sum = 0.0
         for record, gold in expanded:
-            refined, _ = refine_record(record, store, hp)
+            refined, _ = refine_record(record, store, hp, rel=rel)
             labels = {r.label for r in refined if r.space in (Space.CL, Space.XL)}
             p = precision(labels, gold)
             r = recall(labels, gold)

@@ -36,9 +36,6 @@ class EmbeddingTable:
     vectors: dict[str, np.ndarray]
     duplicates: int = 0  # tokens that appeared more than once (last wins)
 
-    def vector(self, token: str) -> np.ndarray | None:
-        return self.vectors.get(token)
-
     def label_vector(self, label: str) -> np.ndarray | None:
         """Mean of in-vocabulary token vectors; None if all tokens are OOV."""
         in_vocab = [self.vectors[t] for t in tokens(label) if t in self.vectors]

@@ -28,6 +28,7 @@ POST_TRUNCATION_CAP = 5
 
 
 def make_relatedness(store: KnowledgeStore, hp: Hyperparameters) -> Relatedness:
+    """srel for `hp.delta`; share one across all images refined with that delta."""
     return Relatedness(store.embeddings, store.coloc, delta=hp.delta)
 
 

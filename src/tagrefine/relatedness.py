@@ -18,42 +18,15 @@ from .errors import ConfigError
 from .knowledge import ColocTable, EmbeddingTable
 
 
-def cosine(a: str, b: str, emb: EmbeddingTable) -> float:
-    """Cosine similarity of two labels, clamped to [0, 1].
-
-    Multiword labels embed as the mean of their in-vocabulary token vectors;
-    labels with no in-vocabulary token (or zero vectors) score 0.
-    """
-    va = emb.label_vector(a)
-    vb = emb.label_vector(b)
-    if va is None or vb is None:
-        return 0.0
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    raw = float(np.dot(va, vb)) / (na * nb)
-    return min(1.0, max(0.0, raw))
-
-
-def coloc(a: str, b: str, table: ColocTable) -> float:
-    """Co-location count normalized by the table-wide maximum pair count."""
-    if table.max_count == 0:
-        return 0.0
-    return table.get(a, b) / table.max_count
-
-
-def srel(a: str, b: str, delta: float, emb: EmbeddingTable, table: ColocTable) -> float:
-    value = delta * cosine(a, b, emb) + (1.0 - delta) * coloc(a, b, table)
-    # guard against accumulation slop at the boundaries
-    return min(1.0, max(0.0, value))
-
-
 class Relatedness:
-    """Memoizing srel over one store; safe to share across worker threads.
+    """srel over one store; safe to share across worker threads.
 
-    Cache entries are pure functions of the immutable tables, so concurrent
-    recomputation of the same key always stores the same value.
+    Each label's mean embedding vector and its norm are worked out on first
+    use and kept, so state grows with the number of distinct labels, never
+    with the number of pairs. A label with no in-vocabulary token or a zero
+    vector is kept as None and has cosine 0 with everything. Entries are
+    pure functions of the immutable tables, so threads that fill the same
+    entry concurrently store equal values.
     """
 
     def __init__(self, emb: EmbeddingTable, coloc_table: ColocTable, delta: float = 0.5):
@@ -62,18 +35,29 @@ class Relatedness:
         self.delta = delta
         self.emb = emb
         self.coloc_table = coloc_table
-        self._cache: dict[tuple[str, str], float] = {}
+        self._vectors: dict[str, tuple[np.ndarray, float] | None] = {}
+
+    def _vector(self, label: str) -> tuple[np.ndarray, float] | None:
+        if label in self._vectors:
+            return self._vectors[label]
+        entry = None
+        vec = self.emb.label_vector(label)
+        if vec is not None:
+            norm = float(np.linalg.norm(vec))
+            if norm != 0.0:
+                entry = (vec, norm)
+        self._vectors[label] = entry
+        return entry
 
     def srel(self, a: str, b: str) -> float:
-        if a == b:
-            key = (a, b)
-        else:
-            key = (a, b) if a < b else (b, a)
-        hit = self._cache.get(key)
-        if hit is None:
-            hit = srel(key[0], key[1], self.delta, self.emb, self.coloc_table)
-            self._cache[key] = hit
-        return hit
+        cos = 0.0
+        va, vb = self._vector(a), self._vector(b)
+        if va is not None and vb is not None:
+            cos = min(1.0, max(0.0, float(np.dot(va[0], vb[0])) / (va[1] * vb[1])))
+        table = self.coloc_table
+        co = table.get(a, b) / table.max_count if table.max_count else 0.0
+        # guard against accumulation slop at the boundaries
+        return min(1.0, max(0.0, self.delta * cos + (1.0 - self.delta) * co))
 
 
 def image_coherence(top_labels: list[str], rel: Relatedness) -> float:

@@ -47,6 +47,15 @@ class Hyperparameters:
     abstract_cap: int = 25  # candidate cap before solving, not a selection bound
 
     def __post_init__(self):
+        numbers = [(name, (int, float), "a number")
+                   for name in ("alpha", "beta", "gamma", "kappa", "delta", "tau_s")]
+        for name, types, kind in (*numbers, ("budget", (int, type(None)), "an integer or none"),
+                                  ("abstract_cap", int, "an integer"),
+                                  ("visir_star", bool, "true or false")):
+            value = getattr(self, name)
+            # a bool is an int to Python, but only visir_star takes one
+            if not isinstance(value, types) or (isinstance(value, bool) and types is not bool):
+                raise ConfigError(f"{name} must be {kind}, got {value!r}")
         for name in ("alpha", "beta", "gamma", "kappa"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:

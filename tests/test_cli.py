@@ -135,6 +135,25 @@ class TestRefine:
         sizes = [len(r["labels"]) for r in read_jsonl(out_none)]
         assert 2 < max(sizes) <= 5  # `none` wins over config: no budget, trimmed to 5
 
+    @pytest.mark.parametrize("line, key", [
+        ("abstract_cap = 25.0", "abstract_cap"),
+        ("budget = 2.5", "budget"),
+        ("alpha = abc", "alpha"),
+        ("alpha = true", "alpha"),  # a bool is no weight
+        ("delta = 0.5.1", "delta"),
+        ("visir_star = yes", "visir_star"),
+    ])
+    def test_config_value_of_wrong_type_exits_2(self, fixtures_dir, tmp_path, knowledge_args,
+                                                capsys, line, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        rc = main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
+                   "--out", str(tmp_path / "o.jsonl"), "--config", str(config),
+                   *knowledge_args])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+
     def test_select_incoherent_filter(self, tmp_path, knowledge_args):
         detections = tmp_path / "det.jsonl"
         rows = [
@@ -277,3 +296,28 @@ class TestTuneCommand:
                    "--gold", str(fixtures_dir / "gold.jsonl"),
                    "--trials", "0", "--seed", "0", "--out", str(out), *knowledge_args])
         assert rc == 2
+
+
+class TestOptions:
+    @pytest.mark.parametrize("command, option", [
+        ("mine-vsim", ["--alpha", "1"]),
+        ("mine-vsim", ["--config", "run.cfg"]),
+        ("mine-vsim", ["--jobs", "2"]),
+        ("eval", ["--seed", "3"]),
+        ("eval", ["--budget", "none"]),
+        ("refine", ["--seed", "3"]),
+    ])
+    def test_option_the_command_does_not_read_is_a_usage_error(
+            self, fixtures_dir, tmp_path, knowledge_args, refined_path, capsys,
+            command, option):
+        inputs = {
+            "mine-vsim": ["--corpus", str(fixtures_dir / "corpus.jsonl")],
+            "eval": ["--system", str(refined_path),
+                     "--judgments", str(fixtures_dir / "judgments.jsonl")],
+            "refine": ["--detections", str(fixtures_dir / "detections.jsonl"),
+                       *knowledge_args],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *inputs, "--out", str(tmp_path / "out"), *option])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

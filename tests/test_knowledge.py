@@ -39,7 +39,7 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         assert table.dim == 3
         assert len(table) == 2
-        assert np.allclose(table.vector("cat"), [1, 2, 3])
+        assert np.allclose(table.vectors["cat"], [1, 2, 3])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
         path = write(tmp_path, "emb.txt", "cat 1 2 3\ndog 1 2 3 4\n")
@@ -66,7 +66,7 @@ class TestLoadEmbeddings:
         path = write(tmp_path, "emb.txt", "cat 1 0\ncat 0 1\n")
         table = load_embeddings(path)
         assert table.duplicates == 1
-        assert np.allclose(table.vector("cat"), [0, 1])
+        assert np.allclose(table.vectors["cat"], [0, 1])
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = write(tmp_path, "emb.txt", "# header\n\ncat 1 0\n")

@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +9,7 @@ from hypothesis import strategies as st
 
 from tagrefine.errors import ConfigError
 from tagrefine.knowledge import ColocTable, EmbeddingTable
-from tagrefine.relatedness import (
-    Relatedness,
-    coloc,
-    cosine,
-    image_coherence,
-    srel,
-)
+from tagrefine.relatedness import Relatedness, image_coherence
 
 
 def emb(**vectors) -> EmbeddingTable:
@@ -19,6 +17,50 @@ def emb(**vectors) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors={
         token: np.array(vec, dtype=float) for token, vec in vectors.items()
     })
+
+
+NO_VECTORS = EmbeddingTable(dim=0, vectors={})
+
+
+def cosine(a, b, table):
+    """Embedding-only relatedness: srel at delta 1."""
+    return Relatedness(table, ColocTable(), delta=1.0).srel(a, b)
+
+
+def coloc(a, b, table):
+    """Co-location-only relatedness: srel at delta 0 with no embeddings."""
+    return Relatedness(NO_VECTORS, table, delta=0.0).srel(a, b)
+
+
+def srel(a, b, delta, table, cl):
+    return Relatedness(table, cl, delta=delta).srel(a, b)
+
+
+# Reference copy of the three-function srel that `Relatedness.srel` replaced;
+# the one path must reproduce it bit for bit.
+
+def ref_cosine(a, b, table):
+    va = table.label_vector(a)
+    vb = table.label_vector(b)
+    if va is None or vb is None:
+        return 0.0
+    na = float(np.linalg.norm(va))
+    nb = float(np.linalg.norm(vb))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    raw = float(np.dot(va, vb)) / (na * nb)
+    return min(1.0, max(0.0, raw))
+
+
+def ref_coloc(a, b, table):
+    if table.max_count == 0:
+        return 0.0
+    return table.get(a, b) / table.max_count
+
+
+def ref_srel(a, b, delta, table, cl):
+    value = delta * ref_cosine(a, b, table) + (1.0 - delta) * ref_coloc(a, b, cl)
+    return min(1.0, max(0.0, value))
 
 
 class TestCosine:
@@ -49,7 +91,7 @@ class TestCosine:
         assert cosine("void", "cat", table) == 0.0
 
     def test_empty_table_total(self):
-        assert cosine("a", "b", EmbeddingTable(dim=0, vectors={})) == 0.0
+        assert cosine("a", "b", NO_VECTORS) == 0.0
 
 
 class TestColoc:
@@ -78,7 +120,7 @@ class TestSrel:
     def test_delta_one_is_pure_cosine(self):
         table = emb(a=[1.0, 1.0], b=[1.0, 0.0])
         cl = ColocTable({("a", "b"): 3})
-        assert srel("a", "b", 1.0, table, cl) == pytest.approx(cosine("a", "b", table))
+        assert srel("a", "b", 1.0, table, cl) == pytest.approx(ref_cosine("a", "b", table))
 
     def test_delta_zero_unseen_pair_is_zero(self):
         table = emb(a=[1.0, 0.0], b=[1.0, 0.0])
@@ -99,8 +141,9 @@ class TestSrel:
     def test_symmetric_and_in_unit_interval(self, delta, va, vb, count, cmax):
         table = emb(a=va, b=vb)
         cl = ColocTable({("a", "b"): min(count, cmax), ("p", "q"): cmax})
-        ab = srel("a", "b", delta, table, cl)
-        ba = srel("b", "a", delta, table, cl)
+        rel = Relatedness(table, cl, delta=delta)
+        ab = rel.srel("a", "b")
+        ba = rel.srel("b", "a")
         assert ab == ba
         assert 0.0 <= ab <= 1.0
 
@@ -115,18 +158,82 @@ class TestSrel:
 
     def test_empty_coloc_reduces_to_weighted_cosine(self):
         table = emb(a=[1.0, 2.0], b=[2.0, 1.0])
-        expected = 0.7 * cosine("a", "b", table)
+        expected = 0.7 * ref_cosine("a", "b", table)
         assert srel("a", "b", 0.7, table, ColocTable()) == pytest.approx(expected)
 
 
-class TestRelatednessCache:
-    def test_cached_matches_direct(self):
+TOKENS = ("t0", "t1", "t2", "t3")
+VECTOR = st.one_of(st.just([0.0, 0.0, 0.0]),
+                   st.lists(st.floats(-1, 1), min_size=3, max_size=3))
+# one to three tokens, `oov` never in the table
+LABEL = st.lists(st.sampled_from((*TOKENS, "oov")), min_size=1, max_size=3).map(" ".join)
+
+
+class TestPerLabelState:
+    def test_matches_reference_in_either_order(self):
         table = emb(a=[1.0, 0.5], b=[0.3, 1.0])
         cl = ColocTable({("a", "b"): 2, ("p", "q"): 4})
         rel = Relatedness(table, cl, delta=0.4)
-        direct = srel("a", "b", 0.4, table, cl)
+        direct = ref_srel("a", "b", 0.4, table, cl)
         assert rel.srel("a", "b") == direct
-        assert rel.srel("b", "a") == direct  # cache key is unordered
+        assert rel.srel("b", "a") == direct  # and again, from the kept label entries
+
+    @given(
+        st.floats(0, 1),
+        st.lists(VECTOR, min_size=len(TOKENS), max_size=len(TOKENS)),
+        st.dictionaries(st.tuples(LABEL, LABEL), st.integers(1, 20), max_size=4),
+        st.lists(st.tuples(LABEL, LABEL), min_size=1, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_to_reference(self, delta, vectors, counts, pairs):
+        table = emb(**dict(zip(TOKENS, vectors)))
+        cl = ColocTable(counts)
+        rel = Relatedness(table, cl, delta=delta)
+        for a, b in pairs:
+            expected = ref_srel(a, b, delta, table, cl)
+            assert rel.srel(a, b) == expected
+            assert rel.srel(b, a) == expected
+            assert ref_srel(b, a, delta, table, cl) == expected
+
+    def test_state_bounded_by_distinct_labels(self):
+        rng = np.random.default_rng(0)
+        labels = [f"l{i}" for i in range(60)]
+        table = EmbeddingTable(dim=4, vectors={lab: rng.normal(size=4) for lab in labels})
+        cl = ColocTable({(labels[i], labels[i + 1]): i + 1 for i in range(10)})
+        rel = Relatedness(table, cl, delta=0.5)
+        for a, b in itertools.combinations(labels, 2):
+            rel.srel(a, b)
+        held = [value for value in vars(rel).values() if hasattr(value, "__len__")]
+        assert held  # the label entries at least
+        assert all(len(value) <= 60 for value in held)
+
+    def test_threads_filling_one_instance_agree_with_reference(self):
+        rng = np.random.default_rng(1)
+        words = [f"w{i}" for i in range(12)]
+        table = EmbeddingTable(dim=8, vectors={w: rng.normal(size=8) for w in words})
+        labels = [*words, *(f"{a} {b}" for a, b in zip(words, words[1:])), "oov"]
+        cl = ColocTable({(labels[i], labels[i + 2]): i + 1 for i in range(20)})
+        pairs = list(itertools.combinations(labels, 2))
+        expected = [ref_srel(a, b, 0.3, table, cl) for a, b in pairs]
+        rel = Relatedness(table, cl, delta=0.3)
+        results = [None] * 8
+
+        def work(k):
+            results[k] = [rel.srel(a, b) for a, b in (pairs if k % 2 else reversed(pairs))]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(len(results))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k, got in enumerate(results):
+            assert got == (expected if k % 2 else expected[::-1])
 
 
 class TestImageCoherence:
