@@ -107,6 +107,11 @@ def add_shared_flags(sub: argparse.ArgumentParser) -> None:
 def resolve_hp(args) -> Hyperparameters:
     """Defaults, overridden by the config file, overridden by explicit flags."""
     config = read_config_file(args.config) if args.config else {}
+    for key in config:
+        if key not in HP_KEYS:
+            raise ConfigError(
+                f"{args.config}: unknown config key {key!r}; expected one of {', '.join(HP_KEYS)}"
+            )
     flags = vars(args)
     values = {key: config[key] for key in HP_KEYS if key in config}
     values.update({key: flags[key] for key in HP_KEYS if key in flags})

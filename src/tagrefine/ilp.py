@@ -11,8 +11,23 @@ The objective is a nonnegative-weighted sum of unary evidence on X plus
 coherence rewards on Z and W. Because every coefficient is nonnegative, Z
 and W equal their defining products at any optimum, so the exact search
 runs over X and Y only: depth-first branch and bound over per-box choices
-(including "no label") with an admissible optimistic bound, and an exact
-closed-form completion of the abstract subset at each leaf.
+(including "no label"), with an exact closed-form completion of the
+abstract subset at each leaf.
+
+`solve_exact` densifies Z and W into per-box rows once and carries its state
+down the search: the unary + Z value of the boxes decided so far, what each
+candidate of every later box would add to it, and the running gain of every
+abstract candidate. A node is cut when its budget-aware bound -- the best
+split of the labels still allowed between the remaining boxes and the
+capped abstract subset -- falls below the incumbent. When v more boxes are
+labelled, a box can add at most its carried value plus half its v - 1 best
+partners among the remaining boxes (each pair is shared by its two ends),
+and an abstract candidate at most its current gain plus its best W on v of
+the remaining boxes. At a leaf the bound is the carried objective itself,
+so only leaves that could still be best pay for the canonical
+`objective_value` and the tie-break key. (This is MAP inference with a
+cardinality constraint, solved by depth-first branch and bound; see
+Marinescu & Dechter, AIJ 2009.)
 
 Ties are broken by preferring the lexicographically smallest chosen-label
 multiset, then fewer labels, then labeling earlier boxes. `brute_force`
@@ -26,6 +41,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .candidates import CandidateSets
 from .errors import ConfigError, ContractViolation, InstanceTooLarge
@@ -247,48 +264,61 @@ def _best_abstract(inst: IlpInstance, choice: Sequence[int | None], allowance: i
 # --- solvers --------------------------------------------------------------------
 
 def solve_exact(inst: IlpInstance) -> Assignment:
-    """Branch and bound over per-box choices with exact abstract completion."""
-    n = inst.n_boxes
+    """Branch and bound over per-box choices with exact abstract completion.
 
-    # static optimistic potentials
-    zmax: dict[tuple[int, int], dict[int, float]] = {}
+    Carried state, bound and leaf filter are described in the module
+    docstring. The prune test is strict (`< best - eps`), so every tied
+    optimum is still evaluated and the tie-break chain decides among them.
+    """
+    n, n_abs = inst.n_boxes, inst.n_abstract
+    sizes = [len(labels) for labels in inst.box_labels]
+    width = max(sizes, default=0)
+
+    # dense coefficients, zero-padded to `width` candidates per box:
+    # zrows[i][j][m - i - 1] is the Z row of candidate j of box i against box m > i
+    zrows = [np.zeros((sizes[i], n - i - 1, width)) for i in range(n)]
     for (i, j, m, k), c in inst.z.items():
-        side = zmax.setdefault((i, j), {})
-        side[m] = max(side.get(m, 0.0), c)
-        side = zmax.setdefault((m, k), {})
-        side[i] = max(side.get(i, 0.0), c)
-    zpot = [
-        [sum(zmax.get((i, j), {}).values()) for j in range(len(inst.box_labels[i]))]
-        for i in range(n)
-    ]
-    box_pot = [
-        max(
-            [inst.unary[i][j] + zpot[i][j] for j in range(len(inst.box_labels[i]))],
-            default=0.0,
-        )
-        for i in range(n)
-    ]
-    box_pot = [max(0.0, p) for p in box_pot]
-    suffix_pot = [0.0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_pot[i] = suffix_pot[i + 1] + box_pot[i]
-
-    wub = [0.0] * inst.n_abstract
-    per_box_wmax: dict[tuple[int, int], float] = {}
+        zrows[i][j, m - i - 1, k] = c
+    wrows = [np.zeros((sizes[i], n_abs)) for i in range(n)]
     for (i, j, k), c in inst.w.items():
-        key = (i, k)
-        per_box_wmax[key] = max(per_box_wmax.get(key, 0.0), c)
-    for (i, k), c in per_box_wmax.items():
-        wub[k] += c
-    abstract_ub = sum(sorted((u for u in wub if u > 0.0), reverse=True)[: inst.max_abstract])
+        wrows[i][j, k] = c
+    unary = np.zeros((n, width))
+    for i, row in enumerate(inst.unary):
+        unary[i, : sizes[i]] = row
+
+    max_abs = min(inst.max_abstract, n_abs)
+    no_limit = n + max_abs
+    budget = no_limit if inst.budget is None else inst.budget
+    visual_cap = no_limit if inst.visual_cap is None else inst.visual_cap
+
+    # partner[m, j, p]: the most candidate j of box m can gain with box p
+    partner = np.zeros((n, width, n))
+    for i in range(n):
+        for m in range(i + 1, n):
+            pair = zrows[i][:, m - i - 1, : sizes[m]]
+            partner[i, : sizes[i], m] = pair.max(axis=1, initial=0.0)
+            partner[m, : sizes[m], i] = pair.max(axis=0, initial=0.0)
+    # zshare[i][v - 1, m - i, j]: half the v - 1 best partners of candidate j
+    # of box m among the other boxes i..n-1. When v of those boxes are
+    # labelled, each pair between them is shared by its two ends.
+    zshare = []
+    for i in range(n + 1):
+        most = max(min(n - i, budget, visual_cap) - 1, 0)
+        among = -np.sort(-partner[i:, :, i:], axis=2)[:, :, :most]
+        zshare.append(0.5 * np.concatenate(
+            [np.zeros((1, n - i, width)), np.cumsum(among, axis=2).transpose(2, 0, 1)]))
+    # wtop[i][v, k]: the most v of the boxes i..n-1 can add to abstract gain k
+    wmax = np.array([w.max(axis=0, initial=0.0) for w in wrows]).reshape(n, n_abs)
+    wtop = []
+    for i in range(n + 1):
+        best_first = -np.sort(-wmax[i:], axis=0)
+        wtop.append(np.vstack([np.zeros(n_abs), np.cumsum(best_first, axis=0)]))
 
     # candidate order per box: strongest static potential first (search speed
     # only; the final answer is the key-minimal assignment regardless)
+    zpot = partner.sum(axis=2)
     order = [
-        sorted(
-            range(len(inst.box_labels[i])),
-            key=lambda j: (-(inst.unary[i][j] + zpot[i][j]), j),
-        )
+        sorted(range(sizes[i]), key=lambda j: (-(unary[i, j] + zpot[i, j]), j))
         for i in range(n)
     ]
 
@@ -297,6 +327,22 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     best_choice: list[int | None] = []
     best_abstract: tuple[int, ...] = ()
     choice: list[int | None] = [None] * n
+
+    def bound(i: int, value: float, n_vis: int, gains, deltas) -> float:
+        """Admissible: the best split of the slots left between at most
+        `n_box` remaining boxes and at most `max_abs` abstract candidates."""
+        slots = budget - n_vis
+        n_box = max(min(n - i, slots, visual_cap - n_vis), 0)
+        split = np.zeros(n_box + 1)
+        if n_box:
+            pots = np.sort((deltas + zshare[i][:n_box]).max(axis=2), axis=1)[:, ::-1]
+            split[1:] = np.cumsum(pots[:, :n_box], axis=1).diagonal()
+        if max_abs:
+            pots = np.sort(gains + wtop[i][: n_box + 1], axis=1)[:, ::-1]
+            abs_top = np.cumsum(pots[:, :max_abs], axis=1)
+            take = np.minimum(max_abs, slots - np.arange(n_box + 1))
+            split += np.where(take > 0, abs_top[np.arange(n_box + 1), take - 1], 0.0)
+        return value + float(split.max())
 
     def leaf(n_vis: int) -> None:
         nonlocal best_key, best_obj, best_choice, best_abstract
@@ -309,28 +355,25 @@ def solve_exact(inst: IlpInstance) -> Assignment:
             best_choice = list(choice)
             best_abstract = abstract
 
-    def dfs(i: int, value: float, n_vis: int) -> None:
+    def dfs(i: int, value: float, n_vis: int, gains, deltas) -> None:
+        """`deltas[m - i, j]`: what candidate j of box m adds with the
+        boxes decided so far (its unary plus its Z to their choices)."""
+        # at a leaf the bound is the carried objective itself, up to rounding
+        if bound(i, value, n_vis, gains, deltas) < best_obj - _PRUNE_EPS:
+            return
         if i == n:
             leaf(n_vis)
             return
-        if best_key is not None and value + suffix_pot[i] + abstract_ub < best_obj - _PRUNE_EPS:
-            return
-        can_take = (inst.budget is None or n_vis < inst.budget) and (
-            inst.visual_cap is None or n_vis < inst.visual_cap
-        )
-        if can_take:
+        here, later = deltas[0].tolist(), deltas[1:]
+        if n_vis < budget and n_vis < visual_cap:
             for j in order[i]:
-                delta = inst.unary[i][j]
-                for m in range(i):
-                    jm = choice[m]
-                    if jm is not None:
-                        delta += inst.z.get((m, jm, i, j), 0.0)
                 choice[i] = j
-                dfs(i + 1, value + delta, n_vis + 1)
+                dfs(i + 1, value + here[j], n_vis + 1, gains + wrows[i][j],
+                    later + zrows[i][j])
             choice[i] = None
-        dfs(i + 1, value, n_vis)
+        dfs(i + 1, value, n_vis, gains, later)
 
-    dfs(0, 0.0, 0)
+    dfs(0, 0.0, 0, np.zeros(n_abs), unary)
     return _to_assignment(inst, best_choice, best_abstract, best_obj)
 
 

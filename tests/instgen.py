@@ -19,6 +19,7 @@ def random_instance(
     max_boxes: int = 4,
     max_cands: int = 4,
     max_abstract: int = 4,
+    min_abstract: int = 0,
     quantize_prob: float = 0.5,
     allow_visir: bool = True,
     budgets=(None, 1, 2, 3, 5, 8),
@@ -36,7 +37,7 @@ def random_instance(
         box_labels.append(tuple(cands))
         unary.append(tuple(score() for _ in cands))
 
-    abstract = tuple(rng.sample(ABSTRACT_POOL, rng.randint(0, max_abstract)))
+    abstract = tuple(rng.sample(ABSTRACT_POOL, rng.randint(min_abstract, max_abstract)))
 
     z = {}
     for i in range(n_boxes):
@@ -69,4 +70,20 @@ def random_instance(
         w=w,
         budget=rng.choice(budgets),
         visual_cap=visual_cap,
+    )
+
+
+def dense_instance(rng: random.Random, n_boxes: int, n_cands: int, n_abstract: int) -> IlpInstance:
+    """Budget 5; every Z and W coefficient present and uniform in [0, 1): little to prune."""
+    n, c, K = n_boxes, n_cands, n_abstract
+    return IlpInstance(
+        box_ids=tuple(f"b{i}" for i in range(n)),
+        box_labels=tuple(tuple(f"l{i}_{j}" for j in range(c)) for i in range(n)),
+        unary=tuple(tuple(rng.random() for _ in range(c)) for _ in range(n)),
+        abstract_labels=tuple(f"a{k}" for k in range(K)),
+        z={(i, j, m, k): rng.random()
+           for i in range(n) for m in range(i + 1, n) for j in range(c) for k in range(c)},
+        w={(i, j, k): rng.random() for i in range(n) for j in range(c) for k in range(K)},
+        budget=5,
+        visual_cap=None,
     )

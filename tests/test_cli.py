@@ -154,6 +154,19 @@ class TestRefine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("key", ["alpah", "seed"])  # misspelt; no hyperparameter
+    def test_unknown_config_key_exits_2(self, fixtures_dir, tmp_path, knowledge_args, capsys,
+                                        key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = 0\nbudget = 2\n")
+        out = tmp_path / "o.jsonl"
+        rc = main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
+                   "--out", str(out), "--config", str(config), *knowledge_args])
+        assert rc == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
     def test_select_incoherent_filter(self, tmp_path, knowledge_args):
         detections = tmp_path / "det.jsonl"
         rows = [

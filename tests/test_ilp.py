@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from instgen import random_instance
+from instgen import dense_instance, random_instance
+from tagrefine import ilp
 from tagrefine.candidates import AbstractCandidate, CandidateSets, VisualCandidate, generate
 from tagrefine.errors import ConfigError, ContractViolation, InstanceTooLarge
 from tagrefine.ilp import (
@@ -183,12 +184,45 @@ class TestSolveExact:
             inst = random_instance(rng)
             assert solve_exact(inst) == brute_force(inst)
 
+    def test_matches_oracle_when_the_abstract_cap_binds(self):
+        # up to 8 abstract candidates against the cap of 5
+        rng = random.Random(5150)
+        capped = 0
+        for _ in range(400):
+            inst = random_instance(rng, max_cands=3, max_abstract=8)
+            out = solve_exact(inst)
+            assert out == brute_force(inst)
+            capped += len(out.chosen_abstract) == inst.max_abstract < inst.n_abstract
+        assert capped >= 20
+
     def test_identical_runs_bit_identical(self):
         rng = random.Random(7)
         inst = random_instance(rng)
         a, b = solve_exact(inst), solve_exact(inst)
         assert a == b
         assert a.objective_value == b.objective_value
+
+
+class TestSearchEffort:
+    """Counts canonical objective evaluations, not wall time, so it repeats exactly."""
+
+    @pytest.mark.parametrize("n_cands", [5, 10])
+    def test_dense_instance_needs_few_evaluations(self, monkeypatch, n_cands):
+        # 6^5 = 7776 and 11^5 = 161051 leaves; every leaf is feasible under budget 5
+        inst = dense_instance(random.Random(0), 5, n_cands, 25)
+        calls = 0
+        real = ilp.objective_value
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(ilp, "objective_value", counted)
+        out = solve_exact(inst)
+        assert calls <= 100
+        choice, abstract = ilp._indices_of(inst, out)
+        assert out.objective_value == real(inst, choice, abstract)
 
 
 class TestScalingAndMonotonicity:
