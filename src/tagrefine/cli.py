@@ -81,7 +81,7 @@ def _parse_budget(text: str):
 
 
 def add_shared_flags(sub: argparse.ArgumentParser) -> None:
-    """`--config`, the nine hyperparameters and `--jobs`: refine and tune."""
+    """`--config`, the nine hyperparameters and `--jobs` (only 1): refine and tune."""
     # hyperparameter flags set no attribute unless given, so a given flag,
     # `--budget none` included, always wins over the config file
     unset = argparse.SUPPRESS
@@ -100,8 +100,8 @@ def add_shared_flags(sub: argparse.ArgumentParser) -> None:
                      help="cap selected visual labels at 80%% of the input boxes")
     sub.add_argument("--abstract-cap", type=int, default=unset, dest="abstract_cap",
                      help="abstract candidate cap per image before solving")
-    sub.add_argument("--jobs", type=int, default=1,
-                     help="parallel image workers (tune refines one image at a time)")
+    sub.add_argument("--jobs", type=int, default=1, choices=(1,),
+                     help="only 1; refinement runs one image at a time")
 
 
 def resolve_hp(args) -> Hyperparameters:
@@ -163,9 +163,8 @@ def cmd_mine_vsim(args) -> int:
     labels = {lab for pair in ((a, b) for a, b, _ in table.pairs()) for lab in pair}
     print(f"mined {len(table)} label pairs over {len(labels)} labels "
           f"from {acc.records_seen} records")
-    if skipped or acc.records_rejected:
-        print(f"warnings: {skipped} malformed lines skipped, "
-              f"{acc.records_rejected} records rejected")
+    if skipped:
+        print(f"warnings: {skipped} malformed lines skipped")
     return EXIT_OK
 
 
@@ -180,9 +179,7 @@ def cmd_refine(args) -> int:
         records = pipeline.select_incoherent(records, store, hp)
     if args.dump_lp:
         Path(args.dump_lp).mkdir(parents=True, exist_ok=True)
-    outputs = pipeline.refine_records(
-        records, store, hp, jobs=args.jobs, lp_dir=args.dump_lp
-    )
+    outputs = pipeline.refine_records(records, store, hp, lp_dir=args.dump_lp)
     with open(args.out, "w", encoding="utf-8") as fh:
         for obj in outputs:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")

@@ -65,7 +65,7 @@ def load_embeddings(path) -> EmbeddingTable:
             raise LoadError(path, "expected `token v1 ... vd`", lineno)
         token = canon_label(parts[0])
         try:
-            vec = np.array([float(x) for x in parts[1:]], dtype=float)
+            vec = np.array(parts[1:], dtype=float)
         except ValueError as exc:
             raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
         if not np.all(np.isfinite(vec)):
@@ -293,11 +293,7 @@ def load_coloc(path) -> ColocTable:
 
 @dataclass
 class KnowledgeStore:
-    """Everything the refinement pipeline reads; immutable after assembly.
-
-    Safe for concurrent reads: tables are built single-threaded here and
-    never mutated afterwards.
-    """
+    """Everything the refinement pipeline reads; immutable after assembly."""
 
     embeddings: EmbeddingTable
     parents: Mapping[str, tuple[str, ...]]          # child -> retained parents

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Iterable, Sequence
+from urllib.parse import quote
 
 from .candidates import generate
 from .ilp import (
@@ -45,7 +45,8 @@ def refine_record(
     cands = generate(record, store, hp, rel.srel)
     inst = build_instance(cands, hp, rel.srel)
     if lp_dir is not None:
-        stem = "".join(c if c.isalnum() or c in "-_." else "_" for c in record.image_id)
+        # percent-encoding is one-to-one, so distinct ids never share a file
+        stem = quote(record.image_id, safe="")
         with open(Path(lp_dir) / f"{stem}.lp", "w", encoding="utf-8") as fh:
             write_lp(inst, fh)
     assignment = solve_exact(inst)
@@ -69,20 +70,15 @@ def refine_records(
     records: Sequence[DetectionRecord],
     store: KnowledgeStore,
     hp: Hyperparameters,
-    jobs: int = 1,
     lp_dir: str | None = None,
 ) -> list[dict]:
-    """Refine many images; output order always matches input order."""
+    """Refine images one at a time, in input order, sharing one `Relatedness`."""
     rel = make_relatedness(store, hp)
-
-    def one(record: DetectionRecord) -> dict:
+    out = []
+    for record in records:
         refined, objective = refine_record(record, store, hp, rel=rel, lp_dir=lp_dir)
-        return refined_to_json(record, refined, objective)
-
-    if jobs <= 1 or len(records) <= 1:
-        return [one(r) for r in records]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, records))
+        out.append(refined_to_json(record, refined, objective))
+    return out
 
 
 def select_incoherent(

@@ -39,26 +39,27 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class DetectionRecord:
+    """One image's boxes; a confidence that is not finite and > 0, or a label
+    given twice in one box, raises ValueError."""
+
     image_id: str
     boxes: tuple[BoundingBox, ...]
 
-
-def validate_record(record: DetectionRecord) -> None:
-    """Raise ValueError if any box breaks the candidate invariants."""
-    for box in record.boxes:
-        seen = set()
-        for label, conf in box.candidates:
-            if not (conf > 0) or not math.isfinite(conf):
-                raise ValueError(
-                    f"image {record.image_id!r} box {box.box_id!r}: "
-                    f"non-positive confidence {conf!r} for {label!r}"
-                )
-            if label in seen:
-                raise ValueError(
-                    f"image {record.image_id!r} box {box.box_id!r}: "
-                    f"duplicate candidate label {label!r}"
-                )
-            seen.add(label)
+    def __post_init__(self):
+        for box in self.boxes:
+            seen = set()
+            for label, conf in box.candidates:
+                if not (conf > 0) or not math.isfinite(conf):
+                    raise ValueError(
+                        f"image {self.image_id!r} box {box.box_id!r}: "
+                        f"non-positive confidence {conf!r} for {label!r}"
+                    )
+                if label in seen:
+                    raise ValueError(
+                        f"image {self.image_id!r} box {box.box_id!r}: "
+                        f"duplicate candidate label {label!r}"
+                    )
+                seen.add(label)
 
 
 def _pair(a: str, b: str) -> tuple[str, str]:
@@ -66,21 +67,19 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 
 
 class MiningAccumulator:
-    """Streaming sums behind the similarity ratio; mergeable across shards.
+    """Streaming sums behind the similarity ratio.
 
     Sums are exact rationals (float confidences convert losslessly), so the
-    finalized table is identical under any record order or shard split.
+    finalized table is identical under any record order.
     """
 
     def __init__(self):
         self.pair_conf: dict[tuple[str, str], Fraction] = {}
         self.total_conf: dict[str, Fraction] = {}
         self.records_seen = 0
-        self.records_rejected = 0
 
     def add(self, record: DetectionRecord) -> None:
-        """Fold one validated record in; raises ValueError on a bad record."""
-        validate_record(record)
+        """Fold one record in."""
         zero = Fraction(0)
         for box in record.boxes:
             cands = [(label, Fraction(conf)) for label, conf in box.candidates]
@@ -94,27 +93,12 @@ class MiningAccumulator:
                     self.pair_conf[key] = self.pair_conf.get(key, zero) + ca + cb
         self.records_seen += 1
 
-    def merge(self, other: "MiningAccumulator") -> "MiningAccumulator":
-        """In-place monoid combine (shard-parallel mining)."""
-        zero = Fraction(0)
-        for key, val in other.pair_conf.items():
-            self.pair_conf[key] = self.pair_conf.get(key, zero) + val
-        for label, val in other.total_conf.items():
-            self.total_conf[label] = self.total_conf.get(label, zero) + val
-        self.records_seen += other.records_seen
-        self.records_rejected += other.records_rejected
-        return self
-
 
 def accumulate(corpus: Iterable[DetectionRecord]) -> MiningAccumulator:
-    """Accumulate a record stream, rejecting invalid records with a warning."""
+    """Accumulate a record stream."""
     acc = MiningAccumulator()
     for record in corpus:
-        try:
-            acc.add(record)
-        except ValueError as exc:
-            log.warning("record rejected: %s", exc)
-            acc.records_rejected += 1
+        acc.add(record)
     return acc
 
 
@@ -197,9 +181,7 @@ def parse_record(obj: dict) -> DetectionRecord:
             boxes.append(BoundingBox(box_id=str(box_obj["id"]), candidates=cands))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed detection record: {exc}") from exc
-    record = DetectionRecord(image_id=image_id, boxes=tuple(boxes))
-    validate_record(record)
-    return record
+    return DetectionRecord(image_id=image_id, boxes=tuple(boxes))
 
 
 def read_detections_jsonl(path) -> tuple[list[DetectionRecord], int]:

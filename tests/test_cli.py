@@ -207,13 +207,21 @@ class TestRefine:
         assert text.startswith("\\ joint label selection instance")
         assert "Maximize" in text and "End" in text
 
-    def test_jobs_output_order_matches_input(self, fixtures_dir, tmp_path, knowledge_args):
-        serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
-        main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
-              "--out", str(serial), *knowledge_args])
-        main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
-              "--out", str(parallel), "--jobs", "4", *knowledge_args])
-        assert serial.read_bytes() == parallel.read_bytes()
+    def test_dump_lp_gives_distinct_ids_distinct_files(self, fixtures_dir, tmp_path,
+                                                        knowledge_args):
+        rows = read_jsonl(fixtures_dir / "detections.jsonl")[:2]
+        rows[0]["image"], rows[1]["image"] = "a/b", "a?b"
+        detections = tmp_path / "d.jsonl"
+        detections.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ref_dir, lp_dir = tmp_path / "ref", tmp_path / "lp"
+        for det, out_dir in ((fixtures_dir / "detections.jsonl", ref_dir), (detections, lp_dir)):
+            assert main(["refine", "--detections", str(det), "--out", str(tmp_path / "o.jsonl"),
+                         "--dump-lp", str(out_dir), *knowledge_args]) == 0
+        assert sorted(p.name for p in lp_dir.iterdir()) == ["a%2Fb.lp", "a%3Fb.lp"]
+        first, second = (ref_dir / "img_001.lp").read_text(), (ref_dir / "img_002.lp").read_text()
+        assert first != second
+        assert (lp_dir / "a%2Fb.lp").read_text() == first
+        assert (lp_dir / "a%3Fb.lp").read_text() == second
 
 
 @pytest.fixture()
@@ -334,3 +342,17 @@ class TestOptions:
             main([command, *inputs, "--out", str(tmp_path / "out"), *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["refine", "tune"])
+    def test_jobs_accepts_only_1(self, fixtures_dir, tmp_path, knowledge_args, capsys, command):
+        inputs = {
+            "refine": ["--detections", str(fixtures_dir / "detections.jsonl")],
+            "tune": ["--train", str(fixtures_dir / "detections.jsonl"),
+                     "--gold", str(fixtures_dir / "gold.jsonl"), "--trials", "1"],
+        }[command]
+        argv = [command, *inputs, "--out", str(tmp_path / "out"), *knowledge_args]
+        assert main([*argv, "--jobs", "1"]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
