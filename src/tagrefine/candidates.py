@@ -9,10 +9,10 @@ image's visual candidates; they attach to the image globally, not to a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .errors import ConfigError
-from .knowledge import AbstractAssertion, KnowledgeStore
+from .knowledge import KnowledgeStore
 from .labels import Origin
 from .scoring import Hyperparameters, SrelFn, gconf, vconf
 from .vsim import BoundingBox, DetectionRecord, VsimTable, similar_set
@@ -65,7 +65,7 @@ def expand_hypernyms(
 
 def generate_abstract(
     visual_candidates: set[str],
-    by_subject: Mapping[str, Sequence[AbstractAssertion]],
+    by_subject: Mapping[str, Mapping[str, float]],
     cap: int,
     srel_fn: SrelFn,
 ) -> list[AbstractCandidate]:
@@ -78,16 +78,13 @@ def generate_abstract(
     """
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
-    # object -> subject -> max score; max and the sorts below make the
-    # result independent of the order in which subjects are visited
+    # object -> subject -> score; the sorts below make the result
+    # independent of the order in which subjects are visited
     supporting: dict[str, dict[str, float]] = {}
     for subject in visual_candidates:
-        for a in by_subject.get(subject, ()):
-            if a.object in visual_candidates:
-                continue
-            scores = supporting.setdefault(a.object, {})
-            if a.score > scores.get(subject, 0.0):
-                scores[subject] = a.score
+        for obj, score in by_subject.get(subject, {}).items():
+            if obj not in visual_candidates:
+                supporting.setdefault(obj, {})[subject] = score
 
     out: list[AbstractCandidate] = []
     for obj in sorted(supporting):

@@ -22,7 +22,6 @@ from pathlib import Path
 from . import evaluation, pipeline
 from .errors import ConfigError, ContractViolation, LoadError, TagRefineError
 from .knowledge import (
-    FrequencyAllowlist,
     KnowledgeStore,
     load_allowlist,
     load_assertions,
@@ -139,14 +138,14 @@ def validate_paths(*paths) -> None:
 def load_store(args) -> KnowledgeStore:
     validate_paths(args.vsim, args.embeddings, args.hypernyms,
                    args.assertions, args.coloc, args.allowlist)
-    allowlist = load_allowlist(args.allowlist) if args.allowlist else FrequencyAllowlist()
+    allowlist = load_allowlist(args.allowlist) if args.allowlist else {}
     return KnowledgeStore.assemble(
         embeddings=load_embeddings(args.embeddings) if args.embeddings else None,
-        hypernym_edges=(
+        parents=(
             load_hypernyms(args.hypernyms, allowlist, args.allowlist_threshold)
-            if args.hypernyms else ()
+            if args.hypernyms else None
         ),
-        assertions=load_assertions(args.assertions) if args.assertions else (),
+        by_subject=load_assertions(args.assertions) if args.assertions else None,
         coloc=load_coloc(args.coloc) if args.coloc else None,
         vsim=read_vsim_tsv(args.vsim) if args.vsim else None,
     )

@@ -2,15 +2,18 @@
 
 Files are read through `textio`, which sets the comment rule and the
 LoadError shape shared by every input. Loaders are pure functions of the file contents,
-so loading the same file twice yields equal tables.
+so loading the same file twice yields equal tables. Each loader returns the
+map the store keeps: `load_hypernyms` child -> sorted parents, pruned with
+the popularity map of `load_allowlist`, and `load_assertions` subject ->
+object -> highest score.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 import numpy as np
 
@@ -87,18 +90,9 @@ def load_embeddings(path) -> EmbeddingTable:
 
 # --- frequency allowlist -------------------------------------------------------
 
-@dataclass
-class FrequencyAllowlist:
-    """Popularity scores used to prune exotic hypernyms; absent labels score 0."""
-
-    entries: dict[str, float] = field(default_factory=dict)
-
-    def score(self, label: str) -> float:
-        return self.entries.get(label, 0.0)
-
-
-def load_allowlist(path) -> FrequencyAllowlist:
-    """Parse `label<TAB>score` rows; scores must be nonnegative reals."""
+def load_allowlist(path) -> dict[str, float]:
+    """Parse `label<TAB>score` rows into label -> popularity; scores must be
+    nonnegative reals, and a label that is absent scores 0."""
     entries: dict[str, float] = {}
     for lineno, line in data_lines(path):
         label_s, score_s = tsv_fields(path, lineno, line, 2)
@@ -110,27 +104,22 @@ def load_allowlist(path) -> FrequencyAllowlist:
         if not math.isfinite(score) or score < 0:
             raise LoadError(path, f"negative or non-finite score {score_s!r}", lineno)
         entries[label] = score
-    return FrequencyAllowlist(entries=entries)
+    return entries
 
 
 # --- hypernyms -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HypernymEdge:
-    child: str
-    parent: str
-    depth: int  # levels above the child, 1..3
-
-
-def load_hypernyms(path, allowlist: FrequencyAllowlist, threshold: float = 0.0) -> set[HypernymEdge]:
-    """Parse `child<TAB>parent<TAB>depth` rows into the retained edge set.
+def load_hypernyms(
+    path, allowlist: Mapping[str, float], threshold: float = 0.0
+) -> dict[str, tuple[str, ...]]:
+    """Parse `child<TAB>parent<TAB>depth` rows into child -> sorted parents.
 
     Rows with depth outside 1..3, self-loops, or parents scoring below the
     allowlist threshold are dropped with a warning. A child keeps at most the
     3 best-scoring parents (ties broken lexicographically by parent).
     Retention is deterministic under permutation of the input lines.
     """
-    by_pair: dict[tuple[str, str], int] = {}  # (child, parent) -> min depth
+    parents_of: dict[str, set[str]] = {}
     dropped = 0
     for lineno, line in data_lines(path):
         child_s, parent_s, depth_s = tsv_fields(path, lineno, line, 3)
@@ -149,56 +138,36 @@ def load_hypernyms(path, allowlist: FrequencyAllowlist, threshold: float = 0.0) 
             log.warning("%s:%d dropped: self-loop %r", path, lineno, child)
             dropped += 1
             continue
-        if allowlist.score(parent) < threshold:
+        if allowlist.get(parent, 0.0) < threshold:
             log.warning("%s:%d dropped: parent %r below allowlist threshold",
                         path, lineno, parent)
             dropped += 1
             continue
-        key = (child, parent)
-        by_pair[key] = min(depth, by_pair.get(key, depth))
-
-    by_child: dict[str, list[tuple[str, int]]] = {}
-    for (child, parent), depth in by_pair.items():
-        by_child.setdefault(child, []).append((parent, depth))
-
-    edges: set[HypernymEdge] = set()
-    for child, parents in by_child.items():
-        if len(parents) > MAX_PARENTS_PER_CHILD:
-            parents = sorted(parents, key=lambda pd: (-allowlist.score(pd[0]), pd[0]))
-            parents = parents[:MAX_PARENTS_PER_CHILD]
-        for parent, depth in parents:
-            edges.add(HypernymEdge(child=child, parent=parent, depth=depth))
+        parents_of.setdefault(child, set()).add(parent)
     if dropped:
         log.warning("%s: %d hypernym rows dropped", path, dropped)
-    return edges
 
-
-def build_parent_index(edges: Iterable[HypernymEdge]) -> dict[str, tuple[str, ...]]:
-    """child -> sorted tuple of retained hypernym parents."""
-    index: dict[str, set[str]] = {}
-    for edge in edges:
-        index.setdefault(edge.child, set()).add(edge.parent)
-    return {child: tuple(sorted(parents)) for child, parents in index.items()}
+    index: dict[str, tuple[str, ...]] = {}
+    for child, parents in parents_of.items():
+        if len(parents) > MAX_PARENTS_PER_CHILD:
+            ranked = sorted(parents, key=lambda p: (-allowlist.get(p, 0.0), p))
+            parents = ranked[:MAX_PARENTS_PER_CHILD]
+        index[child] = tuple(sorted(parents))
+    return index
 
 
 # --- commonsense assertions ----------------------------------------------------
 
-@dataclass(frozen=True)
-class AbstractAssertion:
-    subject: str   # visual label
-    relation: str  # usedFor | hasProperty
-    object: str    # abstract label or phrase
-    score: float   # positive source weight
-
-
-def load_assertions(path) -> set[AbstractAssertion]:
-    """Parse `subject<TAB>relation<TAB>object<TAB>score` rows.
+def load_assertions(path) -> dict[str, dict[str, float]]:
+    """Parse `subject<TAB>relation<TAB>object<TAB>score` rows into
+    subject -> object -> score.
 
     Only usedFor/hasProperty survive; rows with other relations or
-    non-positive scores are dropped (counted in one summary warning).
+    non-positive scores are dropped (counted in one summary warning). A
+    subject/object pair given more than once keeps its highest score.
     Non-numeric scores are load errors.
     """
-    assertions: set[AbstractAssertion] = set()
+    by_subject: dict[str, dict[str, float]] = {}
     dropped_relation = 0
     dropped_score = 0
     for lineno, line in data_lines(path):
@@ -209,8 +178,7 @@ def load_assertions(path) -> set[AbstractAssertion]:
             raise LoadError(path, f"non-numeric score {score_s!r}", lineno) from exc
         if not math.isfinite(score):
             raise LoadError(path, f"non-finite score {score_s!r}", lineno)
-        rel = rel_s.strip()
-        if rel not in PERMITTED_RELATIONS:
+        if rel_s.strip() not in PERMITTED_RELATIONS:
             dropped_relation += 1
             continue
         if score <= 0:
@@ -221,13 +189,13 @@ def load_assertions(path) -> set[AbstractAssertion]:
             obj = canon_label(obj_s)
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc
-        assertions.add(
-            AbstractAssertion(subject=subject, relation=rel, object=obj, score=score)
-        )
+        objects = by_subject.setdefault(subject, {})
+        if score > objects.get(obj, 0.0):
+            objects[obj] = score
     if dropped_relation or dropped_score:
         log.warning("%s: dropped %d rows with unsupported relations, %d with non-positive scores",
                     path, dropped_relation, dropped_score)
-    return assertions
+    return by_subject
 
 
 # --- co-location counts ----------------------------------------------------------
@@ -296,8 +264,8 @@ class KnowledgeStore:
     """Everything the refinement pipeline reads; immutable after assembly."""
 
     embeddings: EmbeddingTable
-    parents: Mapping[str, tuple[str, ...]]          # child -> retained parents
-    by_subject: Mapping[str, tuple[AbstractAssertion, ...]]  # sorted by object
+    parents: Mapping[str, tuple[str, ...]]         # child -> sorted retained parents
+    by_subject: Mapping[str, Mapping[str, float]]  # subject -> object -> highest score
     coloc: ColocTable
     vsim: VsimTable
 
@@ -305,18 +273,16 @@ class KnowledgeStore:
     def assemble(
         cls,
         embeddings: EmbeddingTable | None = None,
-        hypernym_edges: Iterable[HypernymEdge] = (),
-        assertions: Iterable[AbstractAssertion] = (),
+        parents: Mapping[str, tuple[str, ...]] | None = None,
+        by_subject: Mapping[str, Mapping[str, float]] | None = None,
         coloc: ColocTable | None = None,
         vsim: VsimTable | None = None,
     ) -> "KnowledgeStore":
-        by_subject: dict[str, list[AbstractAssertion]] = {}
-        for a in sorted(assertions, key=lambda a: (a.subject, a.object, a.relation, -a.score)):
-            by_subject.setdefault(a.subject, []).append(a)
+        """The store over the loaded maps, with an empty table for each one not given."""
         return cls(
             embeddings=embeddings or EmbeddingTable(dim=0, vectors={}),
-            parents=build_parent_index(hypernym_edges),
-            by_subject={s: tuple(v) for s, v in by_subject.items()},
+            parents=parents or {},
+            by_subject=by_subject or {},
             coloc=coloc or ColocTable(),
             vsim=vsim or VsimTable(),
         )

@@ -39,16 +39,22 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One image's boxes; a confidence that is not finite and > 0, or a label
-    given twice in one box, raises ValueError."""
+    """One image's boxes; a confidence that is not finite and > 0, a label
+    given twice in one box, or an id or label that does not encode as UTF-8
+    raises ValueError."""
 
     image_id: str
     boxes: tuple[BoundingBox, ...]
 
     def __post_init__(self):
+        # a JSON escape can spell a lone surrogate ("\ud800"), which no UTF-8
+        # output can hold; the UnicodeEncodeError raised is a ValueError
+        self.image_id.encode("utf-8")
         for box in self.boxes:
+            box.box_id.encode("utf-8")
             seen = set()
             for label, conf in box.candidates:
+                label.encode("utf-8")
                 if not (conf > 0) or not math.isfinite(conf):
                     raise ValueError(
                         f"image {self.image_id!r} box {box.box_id!r}: "

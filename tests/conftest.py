@@ -35,8 +35,8 @@ def fixture_store() -> KnowledgeStore:
     allowlist = load_allowlist(FIXTURES / "allowlist.tsv")
     return KnowledgeStore.assemble(
         embeddings=load_embeddings(FIXTURES / "embeddings.txt"),
-        hypernym_edges=load_hypernyms(FIXTURES / "hypernyms.tsv", allowlist),
-        assertions=load_assertions(FIXTURES / "assertions.tsv"),
+        parents=load_hypernyms(FIXTURES / "hypernyms.tsv", allowlist),
+        by_subject=load_assertions(FIXTURES / "assertions.tsv"),
         coloc=load_coloc(FIXTURES / "coloc.tsv"),
         vsim=finalize(accumulate(corpus)),
     )

@@ -21,13 +21,7 @@ from instgen import random_instance
 from tagrefine.cli import main
 from tagrefine.evaluation import f1, recall
 from tagrefine.ilp import brute_force, build_instance, solve_exact
-from tagrefine.knowledge import (
-    AbstractAssertion,
-    ColocTable,
-    EmbeddingTable,
-    HypernymEdge,
-    KnowledgeStore,
-)
+from tagrefine.knowledge import ColocTable, EmbeddingTable, KnowledgeStore
 from tagrefine.pipeline import make_relatedness, refine_record, refined_to_json
 from tagrefine.scoring import Hyperparameters
 from tagrefine.vsim import (
@@ -97,18 +91,23 @@ def random_store(rng) -> KnowledgeStore:
         for b in VISUAL_POOL[i + 1:]:
             if rng.random() < 0.3:
                 vsim_scores[(a, b)] = rng.random()
-    edges = [
-        HypernymEdge(child, parent, rng.randint(1, 3))
-        for child in VISUAL_POOL
-        for parent in rng.sample(PARENT_POOL, rng.randint(0, 2))
-    ]
-    assertions = [
-        AbstractAssertion(rng.choice(VISUAL_POOL + PARENT_POOL),
-                          rng.choice(("usedFor", "hasProperty")),
-                          rng.choice(ABSTRACT_POOL),
-                          rng.uniform(0.5, 10.0))
-        for _ in range(rng.randint(0, 10))
-    ]
+    # the depth and the relation are drawn and discarded, so the random
+    # stream, and every store drawn from it, stays as it was
+    parents = {}
+    for child in VISUAL_POOL:
+        drawn = rng.sample(PARENT_POOL, rng.randint(0, 2))
+        for _ in drawn:
+            rng.randint(1, 3)  # depth
+        if drawn:
+            parents[child] = tuple(sorted(drawn))
+    by_subject = {}
+    for _ in range(rng.randint(0, 10)):
+        subject = rng.choice(VISUAL_POOL + PARENT_POOL)
+        rng.choice(("usedFor", "hasProperty"))  # relation
+        obj = rng.choice(ABSTRACT_POOL)
+        score = rng.uniform(0.5, 10.0)
+        objects = by_subject.setdefault(subject, {})
+        objects[obj] = max(score, objects.get(obj, 0.0))
     coloc_counts = {}
     for i, a in enumerate(VISUAL_POOL):
         for b in VISUAL_POOL[i + 1:]:
@@ -116,8 +115,8 @@ def random_store(rng) -> KnowledgeStore:
                 coloc_counts[(a, b)] = rng.randint(1, 20)
     return KnowledgeStore.assemble(
         embeddings=EmbeddingTable(dim=dim, vectors=vectors),
-        hypernym_edges=edges,
-        assertions=assertions,
+        parents=parents,
+        by_subject=by_subject,
         coloc=ColocTable(coloc_counts),
         vsim=VsimTable(vsim_scores),
     )

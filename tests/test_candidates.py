@@ -7,7 +7,7 @@ from tagrefine.candidates import (
     generate_abstract,
 )
 from tagrefine.errors import ConfigError
-from tagrefine.knowledge import AbstractAssertion, KnowledgeStore
+from tagrefine.knowledge import KnowledgeStore, load_assertions
 from tagrefine.labels import Origin
 from tagrefine.scoring import Hyperparameters
 from tagrefine.vsim import BoundingBox, DetectionRecord, VsimTable
@@ -22,8 +22,13 @@ def box(bid="b1", **cands):
 FLAT_SREL = lambda a, b: 0.5
 
 
-def by_subject(assertions):
-    return KnowledgeStore.assemble(assertions=assertions).by_subject
+def by_subject(tmp_path, assertions):
+    """The store's subject map for (subject, relation, object, score) rows,
+    read through `load_assertions`."""
+    path = tmp_path / "assertions.tsv"
+    path.write_text("".join("\t".join(map(str, row)) + "\n" for row in assertions),
+                    encoding="utf-8")
+    return load_assertions(path)
 
 
 class TestExpandSimilar:
@@ -54,75 +59,68 @@ class TestExpandHypernyms:
 
 
 class TestGenerateAbstract:
-    def test_used_for_creates_candidate(self):
-        assertions = {AbstractAssertion("accordion", "usedFor", "make music", 2.0)}
-        out = generate_abstract({"accordion"}, by_subject(assertions), 10, FLAT_SREL)
+    def test_used_for_creates_candidate(self, tmp_path):
+        assertions = [("accordion", "usedFor", "make music", 2.0)]
+        out = generate_abstract({"accordion"}, by_subject(tmp_path, assertions), 10, FLAT_SREL)
         assert [c.label for c in out] == ["make music"]
         assert out[0].supports == (("accordion", 1.0),)
 
-    def test_has_property_creates_candidate(self):
-        assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
-        out = generate_abstract({"snake"}, by_subject(assertions), 10, FLAT_SREL)
+    def test_has_property_creates_candidate(self, tmp_path):
+        assertions = [("snake", "hasProperty", "poisonous", 9.0)]
+        out = generate_abstract({"snake"}, by_subject(tmp_path, assertions), 10, FLAT_SREL)
         assert [c.label for c in out] == ["poisonous"]
 
-    def test_no_matching_subject_is_empty(self):
-        assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
-        assert generate_abstract({"piano"}, by_subject(assertions), 10, FLAT_SREL) == []
+    def test_no_matching_subject_is_empty(self, tmp_path):
+        assertions = [("snake", "hasProperty", "poisonous", 9.0)]
+        assert generate_abstract({"piano"}, by_subject(tmp_path, assertions), 10, FLAT_SREL) == []
 
-    def test_cap_truncates_by_score_then_label(self):
-        assertions = {
-            AbstractAssertion("x", "usedFor", "aa", 1.0),
-            AbstractAssertion("x", "usedFor", "bb", 3.0),
-            AbstractAssertion("x", "usedFor", "cc", 1.0),
-        }
-        out = generate_abstract({"x"}, by_subject(assertions), 2, FLAT_SREL)
+    def test_cap_truncates_by_score_then_label(self, tmp_path):
+        assertions = [
+            ("x", "usedFor", "aa", 1.0),
+            ("x", "usedFor", "bb", 3.0),
+            ("x", "usedFor", "cc", 1.0),
+        ]
+        out = generate_abstract({"x"}, by_subject(tmp_path, assertions), 2, FLAT_SREL)
         assert [c.label for c in out] == ["bb", "aa"]  # tie aa/cc -> lexicographic
 
     def test_cap_below_one_rejected(self):
         with pytest.raises(ConfigError):
             generate_abstract({"x"}, {}, 0, FLAT_SREL)
 
-    def test_duplicate_assertions_take_max_score(self):
-        assertions = {
-            AbstractAssertion("x", "usedFor", "aa", 1.0),
-            AbstractAssertion("x", "hasProperty", "aa", 4.0),
-        }
-        out = generate_abstract({"x"}, by_subject(assertions), 5, FLAT_SREL)
+    def test_duplicate_assertions_take_max_score(self, tmp_path):
+        assertions = [
+            ("x", "usedFor", "aa", 1.0),
+            ("x", "hasProperty", "aa", 4.0),
+        ]
+        out = generate_abstract({"x"}, by_subject(tmp_path, assertions), 5, FLAT_SREL)
         assert out[0].cnet == 4.0
         assert out[0].supports == (("x", 2.0),)
 
-    def test_collision_with_visual_label_skipped(self):
-        assertions = {AbstractAssertion("x", "usedFor", "y", 1.0)}
-        assert generate_abstract({"x", "y"}, by_subject(assertions), 5, FLAT_SREL) == []
+    def test_collision_with_visual_label_skipped(self, tmp_path):
+        assertions = [("x", "usedFor", "y", 1.0)]
+        assert generate_abstract({"x", "y"}, by_subject(tmp_path, assertions), 5, FLAT_SREL) == []
 
-    def test_multiple_supports_ranked_by_best(self):
-        assertions = {
-            AbstractAssertion("a", "usedFor", "zz", 2.0),
-            AbstractAssertion("b", "usedFor", "zz", 6.0),
-            AbstractAssertion("a", "usedFor", "yy", 5.0),
-        }
-        out = generate_abstract({"a", "b"}, by_subject(assertions), 5, FLAT_SREL)
+    def test_multiple_supports_ranked_by_best(self, tmp_path):
+        assertions = [
+            ("a", "usedFor", "zz", 2.0),
+            ("b", "usedFor", "zz", 6.0),
+            ("a", "usedFor", "yy", 5.0),
+        ]
+        out = generate_abstract({"a", "b"}, by_subject(tmp_path, assertions), 5, FLAT_SREL)
         # zz: cnet 6 -> max aconf 3.0; yy: cnet 5 -> 2.5
         assert [c.label for c in out] == ["zz", "yy"]
         assert out[0].supports == (("a", 3.0), ("b", 3.0))
 
-    def test_zero_relatedness_gives_zero_support(self):
-        assertions = {AbstractAssertion("snake", "hasProperty", "poisonous", 9.0)}
-        out = generate_abstract({"snake"}, by_subject(assertions), 10, lambda a, b: 0.0)
+    def test_zero_relatedness_gives_zero_support(self, tmp_path):
+        assertions = [("snake", "hasProperty", "poisonous", 9.0)]
+        out = generate_abstract({"snake"}, by_subject(tmp_path, assertions), 10, lambda a, b: 0.0)
         assert out[0].supports == (("snake", 0.0),)
 
 
 class TestGenerate:
-    def make_store(self):
-        return KnowledgeStore.assemble(
-            hypernym_edges=[],
-            assertions=[AbstractAssertion("dog", "hasProperty", "loyal", 2.0)],
-            vsim=VsimTable({("dog", "wolf"): 0.6}),
-        )
-
     def test_origin_precedence_and_scores(self):
         store = KnowledgeStore.assemble(
-            hypernym_edges=[],
+            parents={},
             vsim=VsimTable({("dog", "wolf"): 0.6}),
         )
         record = DetectionRecord("i", (box("b1", dog=0.5),))
@@ -134,11 +132,7 @@ class TestGenerate:
         assert by_label["wolf"].vconf == pytest.approx(0.3)
 
     def test_hypernym_candidates_carry_gconf_only(self):
-        from tagrefine.knowledge import HypernymEdge
-
-        store = KnowledgeStore.assemble(
-            hypernym_edges=[HypernymEdge("dog", "canine", 1)],
-        )
+        store = KnowledgeStore.assemble(parents={"dog": ("canine",)})
         record = DetectionRecord("i", (box("b1", dog=0.5),))
         sets = generate(record, store, Hyperparameters(), FLAT_SREL)
         by_label = {c.label: c for c in sets.per_box["b1"]}
@@ -147,10 +141,8 @@ class TestGenerate:
         assert by_label["canine"].gconf == pytest.approx(0.5)
 
     def test_original_beats_hypernym_origin(self):
-        from tagrefine.knowledge import HypernymEdge
-
         # "canine" detected directly in a box where it is also dog's parent
-        store = KnowledgeStore.assemble(hypernym_edges=[HypernymEdge("dog", "canine", 1)])
+        store = KnowledgeStore.assemble(parents={"dog": ("canine",)})
         record = DetectionRecord("i", (box("b1", dog=0.5, canine=0.2),))
         sets = generate(record, store, Hyperparameters(), FLAT_SREL)
         by_label = {c.label: c for c in sets.per_box["b1"]}

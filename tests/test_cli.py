@@ -26,6 +26,17 @@ def read_jsonl(path):
     return [json.loads(line) for line in open(path, encoding="utf-8")]
 
 
+def detection_line(image="i1", box="b1", labels=("snake",)):
+    """One detections JSONL line; `json.dumps` escapes a lone surrogate as `\\udXXX`."""
+    cands = [{"label": label, "conf": 0.5} for label in labels]
+    return json.dumps({"image": image, "boxes": [{"id": box, "candidates": cands}]})
+
+
+# a lone surrogate decodes from JSON but cannot be written out as UTF-8
+SURROGATE_FIELDS = [{"image": "x\ud800"}, {"box": "b\ud800"},
+                    {"labels": ("a", "x\ud800")}]
+
+
 class TestMineVsim:
     def test_writes_sorted_table(self, fixtures_dir, tmp_path, capsys):
         out = tmp_path / "vsim.tsv"
@@ -50,6 +61,17 @@ class TestMineVsim:
         corpus.write_text(json.dumps(good) + "\n{broken\n")
         rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv")])
         assert rc == 0
+        assert "1 malformed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", SURROGATE_FIELDS)
+    def test_lone_surrogate_line_skipped(self, tmp_path, capsys, bad):
+        corpus = tmp_path / "c.jsonl"
+        good = detection_line(image="i1", labels=("a", "b"))
+        corpus.write_text(good + "\n" + detection_line(**{"image": "i2", **bad}) + "\n")
+        out = tmp_path / "o.tsv"
+        rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "a\tb\t1.000000\n"
         assert "1 malformed" in capsys.readouterr().out
 
 
@@ -95,6 +117,35 @@ class TestRefine:
                    *knowledge_args])
         assert rc == 0
         assert out.read_text() == ""
+
+    @pytest.mark.parametrize("bad", SURROGATE_FIELDS)
+    def test_lone_surrogate_line_skipped(self, tmp_path, knowledge_args, capsys, bad):
+        detections = tmp_path / "d.jsonl"
+        detections.write_text(detection_line(image="i1") + "\n"
+                              + detection_line(**{"image": "i2", **bad}) + "\n")
+        out = tmp_path / "refined.jsonl"
+        rc = main(["refine", "--detections", str(detections), "--out", str(out),
+                   *knowledge_args])
+        assert rc == 0
+        assert [r["image"] for r in read_jsonl(out)] == ["i1"]
+        assert "1 malformed detection lines skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--hypernyms", "--detections"])
+    def test_non_utf8_input_exits_2_naming_line(self, fixtures_dir, tmp_path,
+                                                knowledge_args, capsys, option):
+        source = {"--hypernyms": fixtures_dir / "hypernyms.tsv",
+                  "--detections": fixtures_dir / "detections.jsonl"}[option]
+        bad = tmp_path / source.name
+        lines = source.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:2]) + b"\xff" + b"".join(lines[2:]))
+        argv = ["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
+                "--out", str(tmp_path / "o.jsonl"), *knowledge_args]
+        argv[argv.index(option) + 1] = str(bad)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}:3: not valid UTF-8")
+        assert "Traceback" not in err
 
     def test_budget_none_truncates_to_five(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "refined.jsonl"

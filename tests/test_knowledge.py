@@ -5,10 +5,6 @@ import pytest
 
 from tagrefine.errors import LoadError
 from tagrefine.knowledge import (
-    AbstractAssertion,
-    FrequencyAllowlist,
-    HypernymEdge,
-    build_parent_index,
     load_allowlist,
     load_assertions,
     load_coloc,
@@ -87,68 +83,62 @@ class TestLoadEmbeddings:
 
 class TestLoadHypernyms:
     def test_allowlisted_parent_retained(self, tmp_path):
-        allow = FrequencyAllowlist({"insect": 50.0, "hymenopteran": 1.0})
+        allow = {"insect": 50.0, "hymenopteran": 1.0}
         path = write(tmp_path, "hyp.tsv", "ant\tinsect\t1\n")
-        edges = load_hypernyms(path, allow, threshold=10.0)
-        assert edges == {HypernymEdge("ant", "insect", 1)}
+        assert load_hypernyms(path, allow, threshold=10.0) == {"ant": ("insect",)}
 
     def test_below_threshold_parent_pruned(self, tmp_path):
-        allow = FrequencyAllowlist({"insect": 50.0, "hymenopteran": 1.0})
+        allow = {"insect": 50.0, "hymenopteran": 1.0}
         path = write(tmp_path, "hyp.tsv", "ant\tinsect\t1\nant\thymenopteran\t1\n")
-        edges = load_hypernyms(path, allow, threshold=10.0)
-        assert {e.parent for e in edges} == {"insect"}
+        assert load_hypernyms(path, allow, threshold=10.0) == {"ant": ("insect",)}
 
     def test_absent_parent_is_below_any_positive_threshold(self, tmp_path):
         path = write(tmp_path, "hyp.tsv", "ant\tinsect\t1\n")
-        assert load_hypernyms(path, FrequencyAllowlist(), threshold=1e-9) == set()
+        assert load_hypernyms(path, {}, threshold=1e-9) == {}
         # default threshold 0 keeps everything
-        assert len(load_hypernyms(path, FrequencyAllowlist(), threshold=0.0)) == 1
+        assert load_hypernyms(path, {}, threshold=0.0) == {"ant": ("insect",)}
 
     def test_depth_cap(self, tmp_path):
         path = write(tmp_path, "hyp.tsv", "ant\tinsect\t1\nant\tbeing\t4\nant\tthing\t0\n")
-        edges = load_hypernyms(path, FrequencyAllowlist(), 0.0)
-        assert {e.parent for e in edges} == {"insect"}
+        assert load_hypernyms(path, {}, 0.0) == {"ant": ("insect",)}
 
     def test_five_parents_capped_to_three_deterministically(self, tmp_path):
-        allow = FrequencyAllowlist({"p1": 5, "p2": 4, "p3": 3, "p4": 3, "p5": 1})
+        allow = {"p1": 5, "p2": 4, "p3": 3, "p4": 3, "p5": 1}
         rows = [f"ant\tp{i}\t1" for i in range(1, 6)]
-        expected = {"p1", "p2", "p3"}  # p3 beats p4 lexicographically at score 3
+        expected = {"ant": ("p1", "p2", "p3")}  # p3 beats p4 lexicographically at score 3
         for seed in range(5):
             shuffled = rows[:]
             random.Random(seed).shuffle(shuffled)
             path = write(tmp_path, f"hyp{seed}.tsv", "\n".join(shuffled) + "\n")
-            edges = load_hypernyms(path, allow, 0.0)
-            assert {e.parent for e in edges} == expected
+            assert load_hypernyms(path, allow, 0.0) == expected
 
     def test_malformed_line_errors_with_lineno(self, tmp_path):
         path = write(tmp_path, "hyp.tsv", "ant\tinsect\t1\nant insect 1\n")
         with pytest.raises(LoadError) as err:
-            load_hypernyms(path, FrequencyAllowlist(), 0.0)
+            load_hypernyms(path, {}, 0.0)
         assert ":2" in str(err.value)
 
     def test_self_loop_dropped(self, tmp_path):
         path = write(tmp_path, "hyp.tsv", "ant\tant\t1\n")
-        assert load_hypernyms(path, FrequencyAllowlist(), 0.0) == set()
+        assert load_hypernyms(path, {}, 0.0) == {}
 
-    def test_parent_index(self):
-        edges = {HypernymEdge("ant", "insect", 1), HypernymEdge("ant", "animal", 2)}
-        assert build_parent_index(edges) == {"ant": ("animal", "insect")}
+    def test_parent_index(self, tmp_path):
+        path = write(tmp_path, "hyp.tsv", "ant\tinsect\t1\nant\tanimal\t2\n")
+        assert load_hypernyms(path, {}, 0.0) == {"ant": ("animal", "insect")}
 
 
 class TestLoadAssertions:
     def test_positive_has_property_kept(self, tmp_path):
         path = write(tmp_path, "a.tsv", "baby\thasProperty\tnewborn\t10.17\n")
-        assert load_assertions(path) == {
-            AbstractAssertion("baby", "hasProperty", "newborn", 10.17)
-        }
+        assert load_assertions(path) == {"baby": {"newborn": 10.17}}
 
     def test_negative_score_dropped(self, tmp_path):
         path = write(tmp_path, "a.tsv", "acne medicine\tusedFor\tclear skin\t-1.0\n")
-        assert load_assertions(path) == set()
+        assert load_assertions(path) == {}
 
     def test_unsupported_relation_dropped(self, tmp_path):
         path = write(tmp_path, "a.tsv", "flower\tmadeOf\tpetal\t1.0\n")
-        assert load_assertions(path) == set()
+        assert load_assertions(path) == {}
 
     def test_non_numeric_score_is_load_error(self, tmp_path):
         path = write(tmp_path, "a.tsv", "flower\tusedFor\tsmelling\thigh\n")
@@ -157,7 +147,15 @@ class TestLoadAssertions:
 
     def test_zero_score_dropped(self, tmp_path):
         path = write(tmp_path, "a.tsv", "flower\tusedFor\tsmelling\t0\n")
-        assert load_assertions(path) == set()
+        assert load_assertions(path) == {}
+
+    @pytest.mark.parametrize("rows", [
+        ["x\tusedFor\taa\t1.0", "x\thasProperty\taa\t4.0"],
+        ["x\thasProperty\taa\t4.0", "x\tusedFor\taa\t1.0"],
+    ])
+    def test_repeated_pair_keeps_highest_score(self, tmp_path, rows):
+        path = write(tmp_path, "a.tsv", "\n".join(rows) + "\n")
+        assert load_assertions(path) == {"x": {"aa": 4.0}}
 
 
 class TestLoadColoc:
@@ -203,8 +201,7 @@ class TestLoadColoc:
 class TestLoadAllowlist:
     def test_scores_and_default(self, tmp_path):
         allow = load_allowlist(write(tmp_path, "w.tsv", "insect\t50\n"))
-        assert allow.score("insect") == 50.0
-        assert allow.score("hymenopteran") == 0.0
+        assert allow == {"insect": 50.0}  # absent labels score 0 in load_hypernyms
 
     def test_negative_score_rejected(self, tmp_path):
         with pytest.raises(LoadError):

@@ -2,7 +2,6 @@ import pytest
 
 from tagrefine.candidates import generate_abstract
 from tagrefine.errors import ConfigError, ContractViolation
-from tagrefine.knowledge import AbstractAssertion, KnowledgeStore
 from tagrefine.scoring import Hyperparameters, gconf, vconf
 from tagrefine.vsim import BoundingBox, VsimTable
 
@@ -81,9 +80,12 @@ class TestGconf:
 
 
 def aconf(label, assertion, srel):
-    """The support `generate_abstract` gives `label` for a one-assertion store."""
-    by_subject = KnowledgeStore.assemble(assertions={assertion}).by_subject
-    [candidate] = generate_abstract({label}, by_subject, 10, srel)
+    """The support `generate_abstract` gives `label` for a one-assertion store.
+
+    `assertion` is a (subject, relation, object, score) row.
+    """
+    subject, _, obj, score = assertion
+    [candidate] = generate_abstract({label}, {subject: {obj: score}}, 10, srel)
     [(subject, support)] = candidate.supports
     assert subject == label
     return support
@@ -93,14 +95,14 @@ class TestAconf:
     """Abstraction confidence: assertion weight times semantic relatedness."""
 
     def test_product(self):
-        a = AbstractAssertion("baby", "hasProperty", "newborn", 10.17)
+        a = ("baby", "hasProperty", "newborn", 10.17)
         assert aconf("baby", a, lambda x, y: 0.5) == pytest.approx(5.085)
 
     def test_identity(self):
-        a = AbstractAssertion("x", "usedFor", "y", 1.0)
+        a = ("x", "usedFor", "y", 1.0)
         assert aconf("x", a, lambda x, y: 1.0) == 1.0
 
     def test_nonnegative_for_valid_inputs(self):
-        a = AbstractAssertion("x", "usedFor", "y", 3.7)
+        a = ("x", "usedFor", "y", 3.7)
         for s in (0.0, 0.25, 1.0):
             assert aconf("x", a, lambda x, y, s=s: s) >= 0.0

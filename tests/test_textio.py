@@ -1,4 +1,5 @@
-"""Behaviour every text-input reader shares: comment rule, open errors, line numbers."""
+"""Behaviour every text-input reader shares: comment rule, open errors, line
+numbers, UTF-8 decoding."""
 
 import json
 
@@ -8,7 +9,6 @@ from tagrefine.cli import _read_gold_jsonl, _read_refined_jsonl, read_config_fil
 from tagrefine.errors import LoadError
 from tagrefine.evaluation import read_judgments_jsonl
 from tagrefine.knowledge import (
-    FrequencyAllowlist,
     load_allowlist,
     load_assertions,
     load_coloc,
@@ -33,7 +33,7 @@ READERS = {
     "config": (read_config_file, "alpha = 1  # trailing comment", "alpha 1"),
     # embedding tables hold arrays, which do not compare with ==
     "embeddings": (lambda path: sorted(load_embeddings(path).vectors), "a 1.0 2.0", "a"),
-    "hypernyms": (lambda path: load_hypernyms(path, FrequencyAllowlist()), "a\tb\t1", "a\tb"),
+    "hypernyms": (lambda path: load_hypernyms(path, {}), "a\tb\t1", "a\tb"),
     "assertions": (load_assertions, "a\tusedFor\tb\t1.0", "a\tusedFor\tb"),
     "coloc": (load_coloc, "a\tb\t3", "a\tb\tmany"),
     "allowlist": (load_allowlist, "a\t1.0", "a"),
@@ -76,3 +76,16 @@ def test_malformed_line_reported_by_number(name, tmp_path):
         read(path)
     assert info.value.line == 3
     assert f"{path}:3:" in str(info.value)
+
+
+@pytest.mark.parametrize("name", READERS)
+def test_non_utf8_line_reported_by_number(name, tmp_path):
+    read, good, _ = READERS[name]
+    # the padding puts the bad byte past the decoder's first block of bytes
+    padding = b"# padding comment\n" * 1000
+    path = tmp_path / "input.txt"
+    path.write_bytes(padding + good.encode() + b"\n" + b"\xff" + good.encode() + b"\n")
+    with pytest.raises(LoadError, match="not valid UTF-8") as info:
+        read(path)
+    assert info.value.line == 1002
+    assert f"{path}:1002:" in str(info.value)
