@@ -13,10 +13,10 @@ identical inputs and seed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import evaluation, pipeline
@@ -114,7 +114,7 @@ def resolve_hp(args) -> Hyperparameters:
     flags = vars(args)
     values = {key: config[key] for key in HP_KEYS if key in config}
     values.update({key: flags[key] for key in HP_KEYS if key in flags})
-    return replace(Hyperparameters(), **values)
+    return dataclasses.replace(Hyperparameters(), **values)
 
 
 def add_knowledge_flags(sub: argparse.ArgumentParser) -> None:
@@ -159,8 +159,7 @@ def cmd_mine_vsim(args) -> int:
     acc = accumulate(records)
     table = finalize(acc)
     write_vsim_tsv(table, args.out)
-    labels = {lab for pair in ((a, b) for a, b, _ in table.pairs()) for lab in pair}
-    print(f"mined {len(table)} label pairs over {len(labels)} labels "
+    print(f"mined {len(table)} label pairs over {len(table.labels())} labels "
           f"from {acc.records_seen} records")
     if skipped:
         print(f"warnings: {skipped} malformed lines skipped")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import logging
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, LoadError
@@ -220,8 +220,6 @@ def tune(
     gold annotations cannot contain it). Ties resolve to the earliest trial.
     Trials only read the shared immutable store, so they are independent.
     """
-    from dataclasses import replace
-
     from .pipeline import make_relatedness, refine_record
 
     if trials < 1:

@@ -8,9 +8,6 @@ plain string equality.
 from __future__ import annotations
 
 import enum
-import re
-
-_WS = re.compile(r"\s+")
 
 
 def canon_label(text: str) -> str:
@@ -18,7 +15,7 @@ def canon_label(text: str) -> str:
 
     Raises ValueError if the result is empty.
     """
-    out = _WS.sub(" ", text.strip()).lower()
+    out = " ".join(text.split()).lower()
     if not out:
         raise ValueError("empty label")
     return out

@@ -10,6 +10,14 @@ ratio
 
 which is 1.0 for labels that only ever appear together and 0.0 for labels
 that never share a box.
+
+The sums are exact. Every finite double is an integer multiple of 2^-1074,
+the smallest subnormal, so each confidence is held as the Python int
+conf * 2^1074 and the sums are plain int additions: no rounding, and the
+same result under any record order. The ratio is one int true division.
+CPython rounds it correctly, as it does float() of the same rational held
+as a Fraction, so each score is the double nearest the exact ratio and the
+table is the same, bit for bit, as one built from exact rational sums.
 """
 
 from __future__ import annotations
@@ -18,8 +26,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, KeysView
 
 from .errors import LoadError
 from .labels import canon_label
@@ -75,28 +82,35 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 class MiningAccumulator:
     """Streaming sums behind the similarity ratio.
 
-    Sums are exact rationals (float confidences convert losslessly), so the
-    finalized table is identical under any record order.
+    Each sum is an int that counts units of 2^-1074, so it is the exact sum
+    of the float confidences, whatever their size, and the finalized table
+    is identical under any record order. Dividing two sums gives the same
+    correctly rounded double as dividing the exact rationals.
     """
 
     def __init__(self):
-        self.pair_conf: dict[tuple[str, str], Fraction] = {}
-        self.total_conf: dict[str, Fraction] = {}
+        self.pair_conf: dict[tuple[str, str], int] = {}
+        self.total_conf: dict[str, int] = {}
         self.records_seen = 0
 
     def add(self, record: DetectionRecord) -> None:
         """Fold one record in."""
-        zero = Fraction(0)
+        pair_conf, total_conf = self.pair_conf, self.total_conf
         for box in record.boxes:
-            cands = [(label, Fraction(conf)) for label, conf in box.candidates]
-            for label, conf in cands:
-                self.total_conf[label] = self.total_conf.get(label, zero) + conf
+            cands = []
+            for label, conf in box.candidates:
+                # conf is n / 2^k with k <= 1074, and d = 2^k has k + 1 bits,
+                # so this is conf * 2^1074 exactly
+                n, d = conf.as_integer_ratio()
+                scaled = n << (1075 - d.bit_length())
+                cands.append((label, scaled))
+                total_conf[label] = total_conf.get(label, 0) + scaled
             for i in range(len(cands)):
                 la, ca = cands[i]
                 for j in range(i + 1, len(cands)):
                     lb, cb = cands[j]
                     key = _pair(la, lb)
-                    self.pair_conf[key] = self.pair_conf.get(key, zero) + ca + cb
+                    pair_conf[key] = pair_conf.get(key, 0) + ca + cb
         self.records_seen += 1
 
 
@@ -134,6 +148,10 @@ class VsimTable:
     def neighbors(self, label: str) -> dict[str, float]:
         return self._neighbors.get(label, {})
 
+    def labels(self) -> KeysView[str]:
+        """Every label that has at least one stored pair."""
+        return self._neighbors.keys()
+
     def pairs(self) -> Iterator[tuple[str, str, float]]:
         """All stored pairs, (a, b, score) with a < b, sorted."""
         for a, b in sorted(self._scores):
@@ -149,16 +167,15 @@ class VsimTable:
 def finalize(acc: MiningAccumulator) -> VsimTable:
     """Close out an accumulator into the ratio table.
 
-    Pairs with zero co-candidate mass are omitted (implicit score 0); the
-    denominator is positive for every stored pair because both labels were
-    observed with positive confidence.
+    Every stored pair has a positive sum, since every confidence is > 0, and
+    its denominator is positive because both labels were observed. A label
+    pair that never shared a box is not stored (implicit score 0).
     """
-    scores = {}
-    for (a, b), num in acc.pair_conf.items():
-        denom = acc.total_conf[a] + acc.total_conf[b]
-        if num > 0:
-            scores[(a, b)] = float(num / denom)
-    return VsimTable(scores)
+    total = acc.total_conf
+    return VsimTable({
+        (a, b): num / (total[a] + total[b])
+        for (a, b), num in acc.pair_conf.items()
+    })
 
 
 def similar_set(table: VsimTable, label: str, tau_s: float) -> set[str]:

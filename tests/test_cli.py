@@ -75,6 +75,25 @@ class TestMineVsim:
         assert "1 malformed" in capsys.readouterr().out
 
 
+    def test_extreme_confidences_mined_exactly(self, tmp_path):
+        # the total of "a" (2e308) exceeds the largest double; the ratio is still exact
+        rows = [("i1", {"a": 1e308, "b": 5e-324}), ("i2", {"a": 1e308, "c": 0.5}),
+                ("i3", {"b": 5e-324, "c": 5e-324}), ("i4", {"d": 5e-324, "e": 1e-323})]
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("".join(
+            json.dumps({"image": image, "boxes": [{"id": "b1", "candidates": [
+                {"label": label, "conf": conf} for label, conf in cands.items()]}]}) + "\n"
+            for image, cands in rows))
+        out = tmp_path / "o.tsv"
+        assert main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)]) == 0
+        assert out.read_text(encoding="utf-8").splitlines() == [
+            "a\tb\t0.500000",
+            "a\tc\t0.500000",
+            "b\tc\t0.000000",
+            "d\te\t1.000000",
+        ]
+
+
 class TestRefine:
     def test_fixture_refinement(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "refined.jsonl"

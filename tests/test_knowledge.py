@@ -1,4 +1,6 @@
 import random
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,21 @@ def write(tmp_path, name, text):
     return path
 
 
+_WS = re.compile(r"\s+")
+
+
+def canon_label_reference(text):
+    """The regex form of canon_label, kept as its reference."""
+    return _WS.sub(" ", text.strip()).lower()
+
+
 class TestCanonLabel:
+    def test_every_code_point_matches_regex_reference(self):
+        # each code point leads, trails, and forms a run of two inside the label
+        texts = (f"{c}A{c}{c}b{c}" for c in map(chr, range(sys.maxunicode + 1)))
+        mismatched = [t for t in texts if canon_label(t) != canon_label_reference(t)]
+        assert mismatched == []
+
     def test_lowercase_and_collapse(self):
         assert canon_label("  Tennis   Ball ") == "tennis ball"
 

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,29 @@ def record(image_id, *boxes):
     return DetectionRecord(image_id=image_id, boxes=tuple(boxes))
 
 
+UNIT = 1 << 1074  # a mining sum counts units of 2^-1074
+
+
+def exact(value):
+    """The rational number a mining sum stands for."""
+    return Fraction(value, UNIT)
+
+
+def fraction_sums(corpus):
+    """Reference: the mining sums as exact Fractions of the float confidences."""
+    pair, total = {}, {}
+    for rec in corpus:
+        for bx in rec.boxes:
+            cands = [(label, Fraction(conf)) for label, conf in bx.candidates]
+            for label, conf in cands:
+                total[label] = total.get(label, 0) + conf
+            for i, (la, ca) in enumerate(cands):
+                for lb, cb in cands[i + 1:]:
+                    key = (la, lb) if la < lb else (lb, la)
+                    pair[key] = pair.get(key, 0) + ca + cb
+    return pair, total
+
+
 class TestAccumulate:
     def test_empty_corpus(self):
         acc = accumulate([])
@@ -35,17 +59,23 @@ class TestAccumulate:
 
     def test_single_box(self):
         acc = accumulate([record("i1", box("b1", a=0.6, b=0.4))])
-        assert acc.pair_conf == {("a", "b"): pytest.approx(1.0)}
-        assert acc.total_conf == {"a": pytest.approx(0.6), "b": pytest.approx(0.4)}
+        assert list(acc.pair_conf) == [("a", "b")]
+        assert exact(acc.pair_conf[("a", "b")]) == Fraction(0.6) + Fraction(0.4)
+        assert float(exact(acc.pair_conf[("a", "b")])) == pytest.approx(1.0)
+        assert list(acc.total_conf) == ["a", "b"]
+        assert exact(acc.total_conf["a"]) == Fraction(0.6)
+        assert exact(acc.total_conf["b"]) == Fraction(0.4)
 
     def test_two_boxes_hand_sums(self):
         acc = accumulate([
             record("i1", box("b1", a=0.6, b=0.4)),
             record("i2", box("b1", a=0.5)),
         ])
-        assert acc.total_conf["a"] == pytest.approx(1.1)
-        assert acc.total_conf["b"] == pytest.approx(0.4)
-        assert acc.pair_conf[("a", "b")] == pytest.approx(1.0)
+        assert exact(acc.total_conf["a"]) == Fraction(0.6) + Fraction(0.5)
+        assert float(exact(acc.total_conf["a"])) == pytest.approx(1.1)
+        assert exact(acc.total_conf["b"]) == Fraction(0.4)
+        assert exact(acc.pair_conf[("a", "b")]) == Fraction(0.6) + Fraction(0.4)
+        assert float(exact(acc.pair_conf[("a", "b")])) == pytest.approx(1.0)
 
     def test_nonpositive_conf_rejects_record(self):
         with pytest.raises(ValueError, match="non-positive confidence 0.0 for 'a'"):
@@ -95,8 +125,16 @@ class TestSimilarSet:
             similar_set(self.table, "a", 1.5)
 
 
+# confidences from the smallest subnormal to near the largest double
+WIDE_CONFS = st.one_of(
+    st.sampled_from([5e-324, 1e-323, 2.2250738585072014e-308, 1.0, 1e308]),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(min_value=5e-324, max_value=1e308),
+)
+
+
 @st.composite
-def corpora(draw):
+def corpora(draw, confs=st.floats(0.05, 1.0, allow_nan=False)):
     labels = ["a", "b", "c", "d", "e"]
     n_records = draw(st.integers(0, 6))
     out = []
@@ -106,9 +144,9 @@ def corpora(draw):
         for b in range(n_boxes):
             cands = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=4,
                                   unique=True))
-            confs = [draw(st.floats(0.05, 1.0, allow_nan=False)) for _ in cands]
+            drawn = [draw(confs) for _ in cands]
             boxes.append(BoundingBox(
-                box_id=f"b{b}", candidates=tuple(zip(cands, confs))
+                box_id=f"b{b}", candidates=tuple(zip(cands, drawn))
             ))
         out.append(DetectionRecord(image_id=f"i{n}", boxes=tuple(boxes)))
     return out
@@ -132,6 +170,18 @@ class TestProperties:
         assert ordered.pair_conf == permuted.pair_conf
         assert ordered.total_conf == permuted.total_conf
         assert finalize(ordered) == finalize(permuted)
+
+    @given(corpora(WIDE_CONFS))
+    @settings(max_examples=100, deadline=None)
+    def test_sums_and_scores_match_fraction_reference(self, corpus):
+        pair, total = fraction_sums(corpus)
+        acc = accumulate(corpus)
+        assert acc.pair_conf == {key: value * UNIT for key, value in pair.items()}
+        assert acc.total_conf == {label: value * UNIT for label, value in total.items()}
+        expected = {(a, b): float(value / (total[a] + total[b]))
+                    for (a, b), value in pair.items()}
+        got = {(a, b): score for a, b, score in finalize(acc).pairs()}
+        assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in expected.items()}
 
 
 class TestSerialization:
