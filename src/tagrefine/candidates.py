@@ -14,6 +14,7 @@ from typing import Iterable, Mapping
 from .errors import ConfigError
 from .knowledge import KnowledgeStore
 from .labels import Origin
+from .relatedness import Relatedness
 from .scoring import Hyperparameters, SrelFn, gconf, vconf
 from .vsim import BoundingBox, DetectionRecord, VsimTable, similar_set
 
@@ -41,6 +42,7 @@ class CandidateSets:
     box_ids: tuple[str, ...]
     per_box: dict[str, list[VisualCandidate]]
     abstract: list[AbstractCandidate]
+    srel: SrelFn | None = None  # what the candidates were scored with
 
 
 def expand_similar(box: BoundingBox, vsim_table: VsimTable, tau_s: float) -> set[str]:
@@ -63,29 +65,30 @@ def expand_hypernyms(
     return {parent: tuple(sorted(kids)) for parent, kids in children_of.items()}
 
 
-def generate_abstract(
-    visual_candidates: set[str],
-    by_subject: Mapping[str, Mapping[str, float]],
-    cap: int,
-    srel_fn: SrelFn,
-) -> list[AbstractCandidate]:
-    """Abstract phrases asserted about any of the image's visual candidates.
+def asserted_objects(
+    visual_labels: Iterable[str], by_subject: Mapping[str, Mapping[str, float]]
+) -> dict[str, dict[str, float]]:
+    """object -> subject -> score for every phrase asserted about any of the
+    visual labels; a phrase that is itself one of them is left out."""
+    visual = set(visual_labels)
+    # the callers sort what they read from this, so the result does not
+    # depend on the order in which subjects are visited
+    supporting: dict[str, dict[str, float]] = {}
+    for subject in visual:
+        for obj, score in by_subject.get(subject, {}).items():
+            if obj not in visual:
+                supporting.setdefault(obj, {})[subject] = score
+    return supporting
 
-    Ranked by the best supporting aconf, ties broken lexicographically,
-    truncated to `cap` to keep the joint selection tractable. Phrases that
-    collide with a visual candidate label are skipped (abstract labels live
-    in their own space).
-    """
+
+def rank_abstract(
+    supporting: Mapping[str, Mapping[str, float]], cap: int, srel_fn: SrelFn
+) -> list[AbstractCandidate]:
+    """Abstract candidates from `asserted_objects`: each phrase's supports,
+    ranked by the best supporting aconf, ties broken lexicographically, and
+    truncated to `cap` to keep the joint selection tractable."""
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
-    # object -> subject -> score; the sorts below make the result
-    # independent of the order in which subjects are visited
-    supporting: dict[str, dict[str, float]] = {}
-    for subject in visual_candidates:
-        for obj, score in by_subject.get(subject, {}).items():
-            if obj not in visual_candidates:
-                supporting.setdefault(obj, {})[subject] = score
-
     out: list[AbstractCandidate] = []
     for obj in sorted(supporting):
         scores = supporting[obj]
@@ -98,26 +101,56 @@ def generate_abstract(
     return out[:cap]
 
 
+def generate_abstract(
+    visual_candidates: set[str],
+    by_subject: Mapping[str, Mapping[str, float]],
+    cap: int,
+    srel_fn: SrelFn,
+) -> list[AbstractCandidate]:
+    """Abstract phrases asserted about any of the image's visual candidates.
+
+    Phrases that collide with a visual candidate label are skipped (abstract
+    labels live in their own space); see `rank_abstract` for the order.
+    """
+    return rank_abstract(asserted_objects(visual_candidates, by_subject), cap, srel_fn)
+
+
 def generate(
     record: DetectionRecord,
     store: KnowledgeStore,
     hp: Hyperparameters,
-    srel_fn: SrelFn,
+    srel: Relatedness | SrelFn,
 ) -> CandidateSets:
     """Build the full candidate space for one image.
 
     A label keeps the strongest origin it qualifies for
-    (original > similar > hypernym) and appears once per box.
+    (original > similar > hypernym) and appears once per box. Given a
+    `Relatedness`, srel is computed once for the image, as one table of
+    the visual labels x (the visual labels + every phrase asserted about
+    them); given a plain function, that function is called per pair.
     """
-    per_box: dict[str, list[VisualCandidate]] = {}
+    boxes = []
     for box in record.boxes:
         original = list(box.labels())
         similar = sorted(expand_similar(box, store.vsim, hp.tau_s))
         # ordered, not a set: gconf sums over it, and set order follows the
         # string hash seed, which would change the last bits between runs
         box_visual = original + similar
-        hyper = expand_hypernyms(box_visual, store.parents)
+        hyper = [label for label in sorted(expand_hypernyms(box_visual, store.parents))
+                 if label not in box_visual]  # else an original/similar candidate
+        boxes.append((box, original, similar, hyper))
 
+    # in box order, so the table, and every value read from it, is the
+    # same in every process
+    visual = list(dict.fromkeys(label for _, original, similar, hyper in boxes
+                                for label in (*original, *similar, *hyper)))
+    # every asserted phrase, before the cap: the supports decide the ranking
+    supporting = asserted_objects(visual, store.by_subject)
+    srel_fn = srel.table(visual, visual + sorted(supporting)) \
+        if isinstance(srel, Relatedness) else srel
+
+    per_box: dict[str, list[VisualCandidate]] = {}
+    for box, original, similar, hyper in boxes:
         cands: list[VisualCandidate] = []
         for label in original:
             cands.append(
@@ -129,19 +162,17 @@ def generate(
                 VisualCandidate(label=label, origin=Origin.SIMILAR,
                                 vconf=vconf(box, label, store.vsim))
             )
-        for label in sorted(hyper):
-            if label in box_visual:
-                continue  # already an original/similar candidate of this box
+        box_visual = original + similar
+        for label in hyper:
             cands.append(
                 VisualCandidate(label=label, origin=Origin.HYPERNYM,
                                 gconf=gconf(box_visual, label, store.parents, srel_fn))
             )
         per_box[box.box_id] = cands
 
-    all_visual = {c.label for cands in per_box.values() for c in cands}
-    abstract = generate_abstract(all_visual, store.by_subject, hp.abstract_cap, srel_fn)
     return CandidateSets(
         box_ids=tuple(box.box_id for box in record.boxes),
         per_box=per_box,
-        abstract=abstract,
+        abstract=rank_abstract(supporting, hp.abstract_cap, srel_fn),
+        srel=srel_fn,
     )

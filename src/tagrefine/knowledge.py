@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -200,11 +201,15 @@ def load_assertions(path) -> dict[str, dict[str, float]]:
 
 # --- co-location counts ----------------------------------------------------------
 
+_NO_NEIGHBORS: Mapping[str, int] = {}
+
+
 class ColocTable:
-    """Symmetric co-tagging counts and their largest pair count."""
+    """Symmetric co-tagging counts, kept as label -> {neighbour: count}, and
+    their largest pair count."""
 
     def __init__(self, counts: dict[tuple[str, str], int] | None = None):
-        self._counts: dict[tuple[str, str], int] = {}
+        self._neighbors: defaultdict[str, dict[str, int]] = defaultdict(dict)
         self.max_count = 0
         for (a, b), n in (counts or {}).items():
             self._add(a, b, n)
@@ -212,26 +217,21 @@ class ColocTable:
     def _add(self, a: str, b: str, n: int) -> None:
         if a == b:
             return
-        key = (a, b) if a < b else (b, a)
-        self._counts[key] = self._counts.get(key, 0) + n
-        if self._counts[key] > self.max_count:
-            self.max_count = self._counts[key]
+        row = self._neighbors[a]
+        total = row[b] = row.get(b, 0) + n
+        self._neighbors[b][a] = total
+        if total > self.max_count:
+            self.max_count = total
 
     def get(self, a: str, b: str) -> int:
-        if a == b:
-            return 0
-        key = (a, b) if a < b else (b, a)
-        return self._counts.get(key, 0)
+        return self._neighbors.get(a, _NO_NEIGHBORS).get(b, 0)
 
-    def pairs(self):
-        for a, b in sorted(self._counts):
-            yield a, b, self._counts[(a, b)]
+    def neighbors(self, label: str) -> Mapping[str, int]:
+        """Every label co-tagged with `label`, and the pair's count."""
+        return self._neighbors.get(label, _NO_NEIGHBORS)
 
-    def __len__(self):
-        return len(self._counts)
-
-    def __eq__(self, other):
-        return isinstance(other, ColocTable) and self._counts == other._counts
+    def __eq__(self, other) -> bool:
+        return isinstance(other, ColocTable) and self._neighbors == other._neighbors
 
 
 def load_coloc(path) -> ColocTable:

@@ -42,8 +42,10 @@ def refine_record(
     """Refine one image: candidates, exact selection, label extraction."""
     if rel is None:
         rel = make_relatedness(store, hp)
-    cands = generate(record, store, hp, rel.srel)
-    inst = build_instance(cands, hp, rel.srel)
+    # handed the `Relatedness` itself, generate computes the image's srel as
+    # one table, and the instance reads the same table
+    cands = generate(record, store, hp, rel)
+    inst = build_instance(cands, hp, cands.srel)
     if lp_dir is not None:
         # percent-encoding is one-to-one, so distinct ids never share a file
         stem = quote(record.image_id, safe="")

@@ -8,14 +8,42 @@ Both components live in [0, 1] (negative cosines clamp to 0, co-location
 normalizes by the table's maximum pair count), so srel does too. Abstract
 labels never occur in co-location data; their pairs simply get a zero
 co-location term at full `1 - delta` weight lost, not renormalized.
+
+Two paths compute it. `Relatedness.srel` scores one pair with one dot
+product. `Relatedness.table` scores every pair of a rows x cols block with
+one matrix product; refinement builds one such table per image. The two
+agree to the last bit or two: the matrix product sums each dot product in
+an order of its own, and every other step is the same float arithmetic.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .knowledge import ColocTable, EmbeddingTable
+
+
+class SrelTable:
+    """srel over a fixed rows x cols block, looked up by label.
+
+    Called as `table(a, b)` with `a` a row label and `b` a column label, so
+    it serves wherever a scalar srel function does on those pairs; any other
+    label is a KeyError. A pair of labels that are both rows and both
+    columns has one value, whichever way it is asked for.
+    """
+
+    __slots__ = ("_rows", "_cols", "_values")
+
+    def __init__(self, rows: dict[str, int], cols: dict[str, int], values: list[list[float]]):
+        self._rows = rows
+        self._cols = cols
+        self._values = values
+
+    def __call__(self, a: str, b: str) -> float:
+        return self._values[self._rows[a]][self._cols[b]]
 
 
 class Relatedness:
@@ -58,6 +86,50 @@ class Relatedness:
         co = table.get(a, b) / table.max_count if table.max_count else 0.0
         # guard against accumulation slop at the boundaries
         return min(1.0, max(0.0, self.delta * cos + (1.0 - self.delta) * co))
+
+    def _matrix(self, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The labels' vectors as rows and their norms; a label with no
+        vector gets a zero row and norm 1, so its cosines come out 0."""
+        zero = np.zeros(self.emb.dim)
+        entries = [self._vector(label) or (zero, 1.0) for label in labels]
+        mat = np.array([vec for vec, _ in entries]).reshape(len(labels), self.emb.dim)
+        return mat, np.array([norm for _, norm in entries])
+
+    def table(self, rows: Sequence[str], cols: Sequence[str]) -> SrelTable:
+        """srel for every pair of `rows` x `cols`, as `srel` computes it but
+        with all the dot products in one matrix product.
+
+        Labels given twice keep their first place. The cosine, co-location,
+        blend and clamps are elementwise float operations in `srel`'s order,
+        so a pair whose cosine is 0 for want of a vector gets `srel`'s value
+        bit for bit. A pair of labels found in both `rows` and `cols` takes
+        one value, the one computed with the earlier row first.
+        """
+        row_at = {label: i for i, label in enumerate(dict.fromkeys(rows))}
+        col_at = {label: j for j, label in enumerate(dict.fromkeys(cols))}
+        rmat, rnorms = self._matrix(list(row_at))
+        cmat, cnorms = self._matrix(list(col_at))
+        cos = (rmat @ cmat.T) / np.outer(rnorms, cnorms)
+        cos = np.minimum(1.0, np.maximum(0.0, cos))
+
+        co = np.zeros_like(cos)
+        coloc, max_count = self.coloc_table, self.coloc_table.max_count
+        if max_count:
+            for i, a in enumerate(row_at):
+                for b, n in coloc.neighbors(a).items():
+                    j = col_at.get(b)
+                    if j is not None:
+                        co[i, j] = n / max_count
+        values = np.minimum(1.0, np.maximum(0.0, self.delta * cos + (1.0 - self.delta) * co))
+
+        # the matrix product need not sum (a, b) and (b, a) alike; copy each
+        # such pair's value from the earlier row to the later one
+        shared = [(i, col_at[label]) for label, i in row_at.items() if label in col_at]
+        if len(shared) > 1:
+            r, c = np.array(shared).T
+            lower, upper = np.tril_indices(len(shared), -1)
+            values[r[lower], c[upper]] = values[r[upper], c[lower]]
+        return SrelTable(row_at, col_at, values.tolist())
 
 
 def image_coherence(top_labels: list[str], rel: Relatedness) -> float:

@@ -7,7 +7,7 @@ Two families:
 * gconf -- how strongly a hypernym generalizes the box's visual labels,
   summed semantic relatedness to its children present in the box.
 
-Abstract candidates are scored in `candidates.generate_abstract`: a visual
+Abstract candidates are scored in `candidates.rank_abstract`: a visual
 label supports a phrase with the phrase's strongest assertion weight (cnet)
 times their semantic relatedness.
 """

@@ -75,6 +75,9 @@ class DetectionRecord:
                 seen.add(label)
 
 
+_NO_NEIGHBORS: dict[str, float] = {}
+
+
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
@@ -123,10 +126,10 @@ def accumulate(corpus: Iterable[DetectionRecord]) -> MiningAccumulator:
 
 
 class VsimTable:
-    """Symmetric sparse label-pair similarity in [0, 1]; missing pairs are 0."""
+    """Symmetric sparse label-pair similarity in [0, 1], kept as
+    label -> {neighbour: score}; missing pairs are 0."""
 
     def __init__(self, scores: dict[tuple[str, str], float] | None = None):
-        self._scores: dict[tuple[str, str], float] = {}
         self._neighbors: dict[str, dict[str, float]] = {}
         for (a, b), s in (scores or {}).items():
             self._put(a, b, s)
@@ -136,14 +139,11 @@ class VsimTable:
             raise ValueError(f"self-pair {a!r}")
         if not (0.0 <= score <= 1.0):
             raise ValueError(f"similarity {score!r} outside [0, 1] for ({a!r}, {b!r})")
-        self._scores[_pair(a, b)] = score
         self._neighbors.setdefault(a, {})[b] = score
         self._neighbors.setdefault(b, {})[a] = score
 
     def get(self, a: str, b: str) -> float:
-        if a == b:
-            return 0.0
-        return self._scores.get(_pair(a, b), 0.0)
+        return self._neighbors.get(a, _NO_NEIGHBORS).get(b, 0.0)
 
     def neighbors(self, label: str) -> dict[str, float]:
         return self._neighbors.get(label, {})
@@ -154,14 +154,17 @@ class VsimTable:
 
     def pairs(self) -> Iterator[tuple[str, str, float]]:
         """All stored pairs, (a, b, score) with a < b, sorted."""
-        for a, b in sorted(self._scores):
-            yield a, b, self._scores[(a, b)]
+        neighbors = self._neighbors
+        for a in sorted(neighbors):
+            row = neighbors[a]
+            for b in sorted(b for b in row if b > a):
+                yield a, b, row[b]
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return sum(map(len, self._neighbors.values())) // 2
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, VsimTable) and self._scores == other._scores
+        return isinstance(other, VsimTable) and self._neighbors == other._neighbors
 
 
 def finalize(acc: MiningAccumulator) -> VsimTable:

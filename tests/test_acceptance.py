@@ -20,9 +20,20 @@ import tagrefine
 from instgen import random_instance
 from tagrefine.cli import main
 from tagrefine.evaluation import f1, recall
-from tagrefine.ilp import brute_force, build_instance, solve_exact
+from tagrefine.ilp import (
+    brute_force,
+    build_instance,
+    extract_labels,
+    solve_exact,
+    truncate_to_cap,
+)
 from tagrefine.knowledge import ColocTable, EmbeddingTable, KnowledgeStore
-from tagrefine.pipeline import make_relatedness, refine_record, refined_to_json
+from tagrefine.pipeline import (
+    POST_TRUNCATION_CAP,
+    make_relatedness,
+    refine_record,
+    refined_to_json,
+)
 from tagrefine.scoring import Hyperparameters
 from tagrefine.vsim import (
     BoundingBox,
@@ -198,6 +209,38 @@ def test_constraint_suite_fuzzed_refines():
         })
         check_output_constraints(output_line, detections_line, hp)
     report("constraint suite (1000 fuzzed refine runs)")
+
+
+def scalar_path(record, store, hp, rel):
+    """Labels and objective with srel called per pair, as `rel.srel`."""
+    cands = generate(record, store, hp, rel.srel)
+    inst = build_instance(cands, hp, rel.srel)
+    assignment = solve_exact(inst)
+    if hp.budget is None:
+        assignment = truncate_to_cap(inst, assignment, POST_TRUNCATION_CAP)
+    return extract_labels(assignment, cands), assignment.objective_value
+
+
+def test_table_path_matches_scalar_path(fixture_store, fixture_records):
+    """refine_record, which reads srel from one table per image, chooses the
+    labels the per-pair srel path chooses, objectives within 1e-12 relative."""
+    seed = 4_242_424
+    print(f"\n[acceptance] table vs scalar srel seed={seed}")
+    rng = random.Random(seed)
+    cases = []
+    for run in range(300):
+        if run % 20 == 0:
+            store = random_store(rng)
+        cases.append((random_detections(rng, f"img{run}"), store, random_hp(rng)))
+    cases += [(record, fixture_store, Hyperparameters()) for record in fixture_records]
+    for record, store, hp in cases:
+        rel = make_relatedness(store, hp)
+        refined, objective = refine_record(record, store, hp, rel=rel)
+        want, want_objective = scalar_path(record, store, hp, rel)
+        assert refined == want, record.image_id
+        assert math.isclose(objective, want_objective, rel_tol=1e-12, abs_tol=0.0), \
+            (record.image_id, objective, want_objective)
+    report(f"table vs scalar srel ({len(cases)} images, same labels)")
 
 
 def test_scaling_invariance():

@@ -1,4 +1,5 @@
 import itertools
+import math
 import sys
 import threading
 
@@ -234,6 +235,86 @@ class TestPerLabelState:
         assert not any(t.is_alive() for t in threads)
         for k, got in enumerate(results):
             assert got == (expected if k % 2 else expected[::-1])
+
+
+def has_vector(label, table):
+    vec = table.label_vector(label)
+    return vec is not None and float(np.linalg.norm(vec)) != 0.0
+
+
+def assert_table_matches_srel(rel, rows, cols):
+    """`rel.table(rows, cols)` against `rel.srel` on every pair: close where a
+    dot product enters, bit-equal where none does, and one value per pair of
+    labels that are both rows and both columns."""
+    table = rel.table(rows, cols)
+    for a in rows:
+        for b in cols:
+            got, want = table(a, b), rel.srel(a, b)
+            assert isinstance(got, float)
+            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (a, b, got, want)
+            if not (has_vector(a, rel.emb) and has_vector(b, rel.emb)):
+                assert got.hex() == want.hex(), (a, b, got, want)
+    both = set(rows) & set(cols)
+    for a in both:
+        for b in both:
+            assert table(a, b).hex() == table(b, a).hex(), (a, b)
+
+
+# Components are 0 or at least 1e-100 in size, so no product of two of them
+# underflows and every dot product is accurate to a few ulps of its terms.
+COMPONENT = st.floats(-1, 1).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
+TABLE_VECTOR = st.one_of(st.just([0.0, 0.0, 0.0]),
+                         st.lists(COMPONENT, min_size=3, max_size=3))
+
+
+class TestTable:
+    @given(
+        st.one_of(st.sampled_from((0.0, 0.5, 1.0)), st.floats(0, 1)),
+        # None: a store with no embeddings at all (dimension 0)
+        st.one_of(st.none(), st.lists(TABLE_VECTOR, min_size=len(TOKENS),
+                                      max_size=len(TOKENS))),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_scalar_srel(self, delta, vectors, data):
+        pool = data.draw(st.lists(LABEL, min_size=1, max_size=8, unique=True))
+        label = st.sampled_from(pool)
+        # an empty or all-zero map is a store with no co-location (max_count 0)
+        counts = data.draw(st.dictionaries(st.tuples(label, label), st.integers(0, 20),
+                                           max_size=6))
+        rows = data.draw(st.lists(label, min_size=1, max_size=6))
+        cols = data.draw(st.lists(label, min_size=1, max_size=8))
+        table = NO_VECTORS if vectors is None else emb(**dict(zip(TOKENS, vectors)))
+        assert_table_matches_srel(Relatedness(table, ColocTable(counts), delta), rows, cols)
+
+    @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("store", ["vectors", "no vectors", "no coloc"])
+    def test_named_cases(self, delta, store):
+        table = emb(t0=[1.0, 0.5, -0.25], t1=[0.3, 1.0, 0.7], t2=[0.0, 0.0, 0.0],
+                    t3=[-0.6, 0.2, 0.9])
+        # multiword, out of vocabulary, zero vector, pairs with co-location
+        # but no cosine ("oov", "t2"), and with co-location and a negative
+        # cosine ("t0", "t3")
+        labels = ["t0", "t1", "t0 t1", "t2", "t3", "t3 oov", "oov", "t1 t2 t3"]
+        counts = {("t0", "t1"): 4, ("oov", "t1"): 2, ("t2", "t0 t1"): 7, ("oov", "t2"): 1,
+                  ("t0", "t3"): 3}
+        if store == "no vectors":
+            table = NO_VECTORS
+        if store == "no coloc":
+            counts = {}
+        rel = Relatedness(table, ColocTable(counts), delta=delta)
+        assert_table_matches_srel(rel, labels[:6], labels)
+        assert_table_matches_srel(rel, labels[::-1], labels[2:])
+
+    def test_labels_outside_the_block_are_key_errors(self):
+        rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8], c=[0.0, 1.0]),
+                          ColocTable({("a", "c"): 3}), delta=0.5)
+        table = rel.table(["a"], ["b", "c"])
+        assert table("a", "c") == rel.srel("a", "c")
+        with pytest.raises(KeyError):
+            table("c", "a")  # "c" is not a row
+        with pytest.raises(KeyError):
+            table("a", "z")
 
 
 class TestImageCoherence:
