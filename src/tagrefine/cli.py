@@ -351,7 +351,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (LoadError, ConfigError) as exc:
+    except (LoadError, ConfigError, OSError) as exc:
+        # OSError: an output path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except (ContractViolation, TagRefineError) as exc:

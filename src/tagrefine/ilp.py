@@ -33,6 +33,10 @@ Ties are broken by preferring the lexicographically smallest chosen-label
 multiset, then fewer labels, then labeling earlier boxes. `brute_force`
 enumerates every feasible assignment under the same tie-break and is the
 testing oracle for `solve_exact`.
+
+Both answer in the indices they search: per box the index of its chosen
+candidate, and the chosen abstract indices. `extract_labels` attaches the
+labels and their spaces once, at the end.
 """
 
 from __future__ import annotations
@@ -55,7 +59,6 @@ _PRUNE_EPS = 1e-9
 
 @dataclass
 class IlpInstance:
-    box_ids: tuple[str, ...]
     box_labels: tuple[tuple[str, ...], ...]   # candidate labels per box
     unary: tuple[tuple[float, ...], ...]      # alpha * (vconf + kappa * gconf)
     abstract_labels: tuple[str, ...]
@@ -66,15 +69,15 @@ class IlpInstance:
     max_abstract: int = MAX_ABSTRACT_LABELS
 
     def __post_init__(self):
-        for per_box in self.unary:
-            for c in per_box:
-                _check_coeff(c)
-        for (i, j, m, k), c in self.z.items():
+        for i, _, m, _ in self.z:
             if not i < m:
                 raise ContractViolation(f"pairwise variable spans boxes {i} >= {m}")
-            _check_coeff(c)
-        for _, c in self.w.items():
-            _check_coeff(c)
+        coeffs = np.fromiter(
+            itertools.chain(*self.unary, self.z.values(), self.w.values()), dtype=float)
+        ok = (coeffs >= 0) & np.isfinite(coeffs)  # NaN fails both
+        if not ok.all():
+            c = float(coeffs[ok.argmin()])
+            raise ContractViolation(f"objective coefficient {c!r} not finite nonnegative")
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1 or none, got {self.budget!r}")
 
@@ -96,22 +99,17 @@ class IlpInstance:
         return states * (2.0 ** self.n_abstract)
 
 
-def _check_coeff(c: float) -> None:
-    if not math.isfinite(c) or c < 0:
-        raise ContractViolation(f"objective coefficient {c!r} not finite nonnegative")
-
-
 @dataclass
 class Assignment:
-    chosen_visual: dict[str, str | None]  # box id -> label (None = unlabeled)
-    chosen_abstract: frozenset[str]
+    choice: tuple[int | None, ...]  # per box, its chosen candidate (None = unlabeled)
+    abstract: tuple[int, ...]       # chosen abstract candidates, sorted
     objective_value: float
 
     def n_visual(self) -> int:
-        return sum(1 for v in self.chosen_visual.values() if v is not None)
+        return sum(1 for j in self.choice if j is not None)
 
     def n_labels(self) -> int:
-        return self.n_visual() + len(self.chosen_abstract)
+        return self.n_visual() + len(self.abstract)
 
 
 def build_instance(
@@ -151,7 +149,6 @@ def build_instance(
                         w[(i, j, k)] = coeff
 
     return IlpInstance(
-        box_ids=cands.box_ids,
         box_labels=box_labels,
         unary=unary,
         abstract_labels=abstract_labels,
@@ -324,7 +321,7 @@ def solve_exact(inst: IlpInstance) -> Assignment:
 
     best_key: tuple | None = None
     best_obj = -math.inf
-    best_choice: list[int | None] = []
+    best_choice: tuple[int | None, ...] = ()
     best_abstract: tuple[int, ...] = ()
     choice: list[int | None] = [None] * n
 
@@ -352,7 +349,7 @@ def solve_exact(inst: IlpInstance) -> Assignment:
         if best_key is None or key < best_key:
             best_key = key
             best_obj = obj
-            best_choice = list(choice)
+            best_choice = tuple(choice)
             best_abstract = abstract
 
     def dfs(i: int, value: float, n_vis: int, gains, deltas) -> None:
@@ -374,7 +371,7 @@ def solve_exact(inst: IlpInstance) -> Assignment:
         dfs(i + 1, value, n_vis, gains, later)
 
     dfs(0, 0.0, 0, np.zeros(n_abs), unary)
-    return _to_assignment(inst, best_choice, best_abstract, best_obj)
+    return Assignment(best_choice, best_abstract, best_obj)
 
 
 def brute_force(inst: IlpInstance) -> Assignment:
@@ -402,46 +399,9 @@ def brute_force(inst: IlpInstance) -> Assignment:
                 key = _assignment_key(inst, choice, abstract, obj)
                 if best_key is None or key < best_key:
                     best_key = key
-                    best = (list(choice), abstract, obj)
+                    best = Assignment(choice, abstract, obj)
     assert best is not None  # the empty assignment is always feasible
-    return _to_assignment(inst, *best)
-
-
-def _to_assignment(inst, choice, abstract, obj) -> Assignment:
-    chosen_visual = {
-        inst.box_ids[i]: (None if j is None else inst.box_labels[i][j])
-        for i, j in enumerate(choice)
-    }
-    chosen_abstract = frozenset(inst.abstract_labels[k] for k in abstract)
-    return Assignment(
-        chosen_visual=chosen_visual,
-        chosen_abstract=chosen_abstract,
-        objective_value=obj,
-    )
-
-
-def _indices_of(inst: IlpInstance, a: Assignment) -> tuple[list[int | None], list[int]]:
-    box_index = {box_id: i for i, box_id in enumerate(inst.box_ids)}
-    choice: list[int | None] = [None] * inst.n_boxes
-    for box_id, label in a.chosen_visual.items():
-        if box_id not in box_index:
-            raise ContractViolation(f"unknown box id {box_id!r}")
-        if label is None:
-            continue
-        i = box_index[box_id]
-        try:
-            choice[i] = inst.box_labels[i].index(label)
-        except ValueError:
-            raise ContractViolation(
-                f"label {label!r} is not a candidate of box {box_id!r}"
-            ) from None
-    abstract = []
-    for label in a.chosen_abstract:
-        try:
-            abstract.append(inst.abstract_labels.index(label))
-        except ValueError:
-            raise ContractViolation(f"unknown abstract label {label!r}") from None
-    return choice, sorted(abstract)
+    return best
 
 
 def truncate_to_cap(inst: IlpInstance, a: Assignment, cap: int) -> Assignment:
@@ -452,7 +412,7 @@ def truncate_to_cap(inst: IlpInstance, a: Assignment, cap: int) -> Assignment:
     recomputed after every drop. Marginal ties drop the lexicographically
     larger label.
     """
-    choice, abstract = _indices_of(inst, a)
+    choice, abstract = list(a.choice), list(a.abstract)
     while (sum(1 for j in choice if j is not None) + len(abstract)) > cap:
         marginals: list[tuple[float, str, str, int]] = []
         full = objective_value(inst, choice, abstract)
@@ -475,7 +435,7 @@ def truncate_to_cap(inst: IlpInstance, a: Assignment, cap: int) -> Assignment:
         else:
             abstract.remove(idx)
     obj = objective_value(inst, choice, abstract)
-    return _to_assignment(inst, choice, tuple(abstract), obj)
+    return Assignment(tuple(choice), tuple(abstract), obj)
 
 
 # --- output extraction ------------------------------------------------------------
@@ -488,39 +448,24 @@ class RefinedLabel:
 
 
 def extract_labels(a: Assignment, cands: CandidateSets) -> list[RefinedLabel]:
-    """Flatten a feasible assignment into the refined label list.
+    """Attach labels and spaces to a solver answer over `cands`.
 
     Visual labels come first in box input order, then abstract labels
-    lexicographically. Raises ContractViolation when the assignment refers
-    to labels outside the candidate space or overruns the abstract cap.
+    lexicographically. A `choice` whose length is not the number of boxes
+    raises ValueError; more abstract labels than the cap raise
+    ContractViolation.
     """
-    origin_of = {
-        box_id: {c.label: c.origin for c in cands.per_box[box_id]}
-        for box_id in cands.box_ids
-    }
-    abstract_labels = {c.label for c in cands.abstract}
-    if len(a.chosen_abstract) > MAX_ABSTRACT_LABELS:
+    if len(a.abstract) > MAX_ABSTRACT_LABELS:
         raise ContractViolation(
-            f"{len(a.chosen_abstract)} abstract labels exceed the cap of {MAX_ABSTRACT_LABELS}"
+            f"{len(a.abstract)} abstract labels exceed the cap of {MAX_ABSTRACT_LABELS}"
         )
     out: list[RefinedLabel] = []
-    for box_id in cands.box_ids:
-        label = a.chosen_visual.get(box_id)
-        if label is None:
-            continue
-        if label not in origin_of[box_id]:
-            raise ContractViolation(
-                f"label {label!r} is not a candidate of box {box_id!r}"
-            )
-        out.append(
-            RefinedLabel(label=label, space=SPACE_OF_ORIGIN[origin_of[box_id][label]], box=box_id)
-        )
-    for box_id in a.chosen_visual:
-        if box_id not in origin_of:
-            raise ContractViolation(f"unknown box id {box_id!r}")
-    for label in sorted(a.chosen_abstract):
-        if label not in abstract_labels:
-            raise ContractViolation(f"unknown abstract label {label!r}")
+    for box_id, j in zip(cands.box_ids, a.choice, strict=True):
+        if j is not None:
+            cand = cands.per_box[box_id][j]
+            out.append(RefinedLabel(label=cand.label, space=SPACE_OF_ORIGIN[cand.origin],
+                                    box=box_id))
+    for label in sorted(cands.abstract[k].label for k in a.abstract):
         out.append(RefinedLabel(label=label, space=Space.AL, box=GLOBAL_BOX))
     return out
 

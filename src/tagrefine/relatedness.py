@@ -47,14 +47,14 @@ class SrelTable:
 
 
 class Relatedness:
-    """srel over one store; safe to share across worker threads.
+    """srel over one store; one per run, shared by every image refined.
 
     Each label's mean embedding vector and its norm are worked out on first
     use and kept, so state grows with the number of distinct labels, never
     with the number of pairs. A label with no in-vocabulary token or a zero
     vector is kept as None and has cosine 0 with everything. Entries are
-    pure functions of the immutable tables, so threads that fill the same
-    entry concurrently store equal values.
+    pure functions of the immutable tables, so an image sees the same values
+    whichever images were refined before it.
     """
 
     def __init__(self, emb: EmbeddingTable, coloc_table: ColocTable, delta: float = 0.5):

@@ -46,9 +46,9 @@ class BoundingBox:
 
 @dataclass(frozen=True)
 class DetectionRecord:
-    """One image's boxes; a confidence that is not finite and > 0, a label
-    given twice in one box, or an id or label that does not encode as UTF-8
-    raises ValueError."""
+    """One image's boxes; a confidence that is not finite and > 0, a box id
+    given twice in the image, a label given twice in one box, or an id or
+    label that does not encode as UTF-8 raises ValueError."""
 
     image_id: str
     boxes: tuple[BoundingBox, ...]
@@ -57,8 +57,15 @@ class DetectionRecord:
         # a JSON escape can spell a lone surrogate ("\ud800"), which no UTF-8
         # output can hold; the UnicodeEncodeError raised is a ValueError
         self.image_id.encode("utf-8")
+        box_ids = set()
         for box in self.boxes:
             box.box_id.encode("utf-8")
+            # candidates are keyed by box id: a repeat would drop a box
+            if box.box_id in box_ids:
+                raise ValueError(
+                    f"image {self.image_id!r}: duplicate box id {box.box_id!r}"
+                )
+            box_ids.add(box.box_id)
             seen = set()
             for label, conf in box.candidates:
                 label.encode("utf-8")

@@ -30,10 +30,9 @@ def random_instance(
         return rng.random() * 2.0
 
     n_boxes = rng.randint(1, max_boxes)
-    box_ids, box_labels, unary = [], [], []
-    for i in range(n_boxes):
+    box_labels, unary = [], []
+    for _ in range(n_boxes):
         cands = rng.sample(LABEL_POOL, rng.randint(1, max_cands))
-        box_ids.append(f"b{i}")
         box_labels.append(tuple(cands))
         unary.append(tuple(score() for _ in cands))
 
@@ -62,7 +61,6 @@ def random_instance(
         visual_cap = math.floor(0.8 * n_boxes)
 
     return IlpInstance(
-        box_ids=tuple(box_ids),
         box_labels=tuple(box_labels),
         unary=tuple(unary),
         abstract_labels=abstract,
@@ -77,7 +75,6 @@ def dense_instance(rng: random.Random, n_boxes: int, n_cands: int, n_abstract: i
     """Budget 5; every Z and W coefficient present and uniform in [0, 1): little to prune."""
     n, c, K = n_boxes, n_cands, n_abstract
     return IlpInstance(
-        box_ids=tuple(f"b{i}" for i in range(n)),
         box_labels=tuple(tuple(f"l{i}_{j}" for j in range(c)) for i in range(n)),
         unary=tuple(tuple(rng.random() for _ in range(c)) for _ in range(n)),
         abstract_labels=tuple(f"a{k}" for k in range(K)),

@@ -258,8 +258,8 @@ def test_scaling_invariance():
         base = solve_exact(build_instance(cands, hp, rel.srel))
         for c in (0.1, 3.0, 17.0):
             scaled = solve_exact(build_instance(cands, hp.scaled(c), rel.srel))
-            assert scaled.chosen_visual == base.chosen_visual, f"run {run} c={c}"
-            assert scaled.chosen_abstract == base.chosen_abstract, f"run {run} c={c}"
+            assert scaled.choice == base.choice, f"run {run} c={c}"
+            assert scaled.abstract == base.abstract, f"run {run} c={c}"
     report("scaling invariance (100 instances x {0.1, 3, 17})")
 
 
@@ -294,10 +294,10 @@ def test_coherence_fixture_drops_cucumber(fixture_store, fixture_records):
     got = solve_exact(inst)
     assert got == expected
 
-    chosen = set(got.chosen_visual.values()) | got.chosen_abstract
+    chosen = {r.label for r in extract_labels(got, cands)}
     assert "cucumber" not in chosen
     assert "snake" in chosen
-    assert got.chosen_visual["b3"] is None  # cucumber's box goes unlabeled
+    assert dict(zip(cands.box_ids, got.choice))["b3"] is None  # cucumber's box goes unlabeled
     report("coherence fixture (cucumber dropped, oracle-confirmed)")
 
 

@@ -32,6 +32,13 @@ def detection_line(image="i1", box="b1", labels=("snake",)):
     return json.dumps({"image": image, "boxes": [{"id": box, "candidates": cands}]})
 
 
+def repeated_box_line(image="i2"):
+    """Two boxes that share the id b1: snake, then cucumber."""
+    boxes = [{"id": "b1", "candidates": [{"label": label, "conf": 0.9}]}
+             for label in ("snake", "cucumber")]
+    return json.dumps({"image": image, "boxes": boxes})
+
+
 # a lone surrogate decodes from JSON but cannot be written out as UTF-8
 SURROGATE_FIELDS = [{"image": "x\ud800"}, {"box": "b\ud800"},
                     {"labels": ("a", "x\ud800")}]
@@ -74,6 +81,15 @@ class TestMineVsim:
         assert out.read_text(encoding="utf-8") == "a\tb\t1.000000\n"
         assert "1 malformed" in capsys.readouterr().out
 
+    def test_repeated_box_id_line_skipped(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(detection_line(image="i1", labels=("a", "b")) + "\n"
+                          + repeated_box_line() + "\n")
+        out = tmp_path / "o.tsv"
+        rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "a\tb\t1.000000\n"
+        assert "1 malformed" in capsys.readouterr().out
 
     def test_extreme_confidences_mined_exactly(self, tmp_path):
         # the total of "a" (2e308) exceeds the largest double; the ratio is still exact
@@ -142,6 +158,16 @@ class TestRefine:
         detections = tmp_path / "d.jsonl"
         detections.write_text(detection_line(image="i1") + "\n"
                               + detection_line(**{"image": "i2", **bad}) + "\n")
+        out = tmp_path / "refined.jsonl"
+        rc = main(["refine", "--detections", str(detections), "--out", str(out),
+                   *knowledge_args])
+        assert rc == 0
+        assert [r["image"] for r in read_jsonl(out)] == ["i1"]
+        assert "1 malformed detection lines skipped" in capsys.readouterr().err
+
+    def test_repeated_box_id_line_skipped(self, tmp_path, knowledge_args, capsys):
+        detections = tmp_path / "d.jsonl"
+        detections.write_text(detection_line(image="i1") + "\n" + repeated_box_line() + "\n")
         out = tmp_path / "refined.jsonl"
         rc = main(["refine", "--detections", str(detections), "--out", str(out),
                    *knowledge_args])
@@ -412,6 +438,35 @@ class TestOptions:
             main([command, *inputs, "--out", str(tmp_path / "out"), *option])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option", [
+        ("mine-vsim", "--out"),
+        ("refine", "--out"),
+        ("refine", "--dump-lp"),
+        ("eval", "--out"),
+        ("tune", "--out"),
+    ])
+    def test_unwritable_output_exits_2(self, fixtures_dir, tmp_path, knowledge_args,
+                                       refined_path, capsys, command, option):
+        inputs = {
+            "mine-vsim": ["--corpus", str(fixtures_dir / "corpus.jsonl")],
+            "refine": ["--detections", str(fixtures_dir / "detections.jsonl"),
+                       *knowledge_args],
+            "eval": ["--system", str(refined_path),
+                     "--judgments", str(fixtures_dir / "judgments.jsonl")],
+            "tune": ["--train", str(fixtures_dir / "detections.jsonl"),
+                     "--gold", str(fixtures_dir / "gold.jsonl"), "--trials", "1",
+                     *knowledge_args],
+        }[command]
+        if option == "--out":
+            outputs = ["--out", str(tmp_path / "missing" / "out")]
+        else:  # an existing file where the dump directory should go
+            outputs = ["--out", str(tmp_path / "out"), option, str(refined_path)]
+        rc = main([command, *inputs, *outputs])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["refine", "tune"])
     def test_jobs_accepts_only_1(self, fixtures_dir, tmp_path, knowledge_args, capsys, command):

@@ -39,7 +39,6 @@ def make_candidates():
 
 def simple_instance(**overrides):
     base = dict(
-        box_ids=("b1",),
         box_labels=(("cat",),),
         unary=((0.7,),),
         abstract_labels=(),
@@ -89,9 +88,18 @@ class TestBuildInstance:
         with pytest.raises(ConfigError):
             simple_instance(budget=0)
 
-    def test_negative_coefficient_rejected(self):
-        with pytest.raises(ContractViolation):
-            simple_instance(unary=((-0.1,),))
+    @pytest.mark.parametrize("bad", [-0.1, float("nan"), float("inf")])
+    @pytest.mark.parametrize("term", ["unary", "z", "w"])
+    def test_negative_coefficient_rejected(self, term, bad):
+        two_boxes = dict(box_labels=(("cat",), ("dog",)), unary=((0.5,), (0.4,)),
+                         abstract_labels=("cozy",))
+        overrides = {
+            "unary": dict(unary=((bad,),)),
+            "z": dict(two_boxes, z={(0, 0, 1, 0): bad}),
+            "w": dict(two_boxes, w={(1, 0, 0): bad}),
+        }[term]
+        with pytest.raises(ContractViolation, match=repr(bad)):
+            simple_instance(**overrides)
 
     def test_z_must_span_distinct_boxes(self):
         with pytest.raises(ContractViolation):
@@ -104,19 +112,18 @@ class TestBuildInstance:
 
 class TestSolveExact:
     def test_empty_instance(self):
-        inst = IlpInstance(box_ids=(), box_labels=(), unary=(), abstract_labels=(),
+        inst = IlpInstance(box_labels=(), unary=(), abstract_labels=(),
                            z={}, w={}, budget=5, visual_cap=None)
         out = solve_exact(inst)
-        assert out == Assignment({}, frozenset(), 0.0)
+        assert out == Assignment((), (), 0.0)
 
     def test_single_improving_candidate(self):
         out = solve_exact(simple_instance())
-        assert out.chosen_visual == {"b1": "cat"}
+        assert out.choice == (0,)
         assert out.objective_value == pytest.approx(0.7)
 
     def test_two_box_coherence_beats_unaries(self):
         inst = IlpInstance(
-            box_ids=("x1", "x2"),
             box_labels=(("a", "b"), ("c", "d")),
             unary=((0.5, 0.4), (0.5, 0.4)),
             abstract_labels=(),
@@ -127,14 +134,13 @@ class TestSolveExact:
         )
         out = solve_exact(inst)
         # brute force over all 9 combinations: b+d scores 0.4+0.4+0.9=1.7 > a+c's 1.0
-        assert out.chosen_visual == {"x1": "b", "x2": "d"}
+        assert out.choice == (1, 1)
         assert out.objective_value == pytest.approx(1.7)
         assert out == brute_force(inst)
 
     def test_budget_forces_tradeoff(self):
         # one visual slot vs an abstract label worth more through coherence
         inst = IlpInstance(
-            box_ids=("x1", "x2"),
             box_labels=(("a",), ("b",)),
             unary=((0.6,), (0.5,)),
             abstract_labels=("glow",),
@@ -144,13 +150,12 @@ class TestSolveExact:
             visual_cap=None,
         )
         out = solve_exact(inst)
-        assert out.chosen_visual == {"x1": "a", "x2": None}
-        assert out.chosen_abstract == frozenset({"glow"})
+        assert out.choice == (0, None)
+        assert out.abstract == (0,)
         assert out == brute_force(inst)
 
     def test_visual_cap_enforced(self):
         inst = IlpInstance(
-            box_ids=("x1", "x2"),
             box_labels=(("a",), ("b",)),
             unary=((0.6,), (0.5,)),
             abstract_labels=(),
@@ -165,7 +170,6 @@ class TestSolveExact:
 
     def test_abstract_cap_is_five(self):
         inst = IlpInstance(
-            box_ids=("x1",),
             box_labels=(("v",),),
             unary=((1.0,),),
             abstract_labels=tuple(f"a{i}" for i in range(7)),
@@ -175,7 +179,7 @@ class TestSolveExact:
             visual_cap=None,
         )
         out = solve_exact(inst)
-        assert len(out.chosen_abstract) == 5
+        assert len(out.abstract) == 5
         assert out == brute_force(inst)
 
     def test_matches_oracle_on_random_instances(self):
@@ -192,7 +196,7 @@ class TestSolveExact:
             inst = random_instance(rng, max_cands=3, max_abstract=8)
             out = solve_exact(inst)
             assert out == brute_force(inst)
-            capped += len(out.chosen_abstract) == inst.max_abstract < inst.n_abstract
+            capped += len(out.abstract) == inst.max_abstract < inst.n_abstract
         assert capped >= 20
 
     def test_identical_runs_bit_identical(self):
@@ -221,14 +225,12 @@ class TestSearchEffort:
         monkeypatch.setattr(ilp, "objective_value", counted)
         out = solve_exact(inst)
         assert calls <= 100
-        choice, abstract = ilp._indices_of(inst, out)
-        assert out.objective_value == real(inst, choice, abstract)
+        assert out.objective_value == real(inst, out.choice, out.abstract)
 
 
 class TestScalingAndMonotonicity:
     def scaled_instance(self, inst, c):
         return IlpInstance(
-            box_ids=inst.box_ids,
             box_labels=inst.box_labels,
             unary=tuple(tuple(c * u for u in row) for row in inst.unary),
             abstract_labels=inst.abstract_labels,
@@ -245,8 +247,8 @@ class TestScalingAndMonotonicity:
             base = solve_exact(inst)
             for c in (0.1, 3.0, 17.0):
                 scaled = solve_exact(self.scaled_instance(inst, c))
-                assert scaled.chosen_visual == base.chosen_visual
-                assert scaled.chosen_abstract == base.chosen_abstract
+                assert scaled.choice == base.choice
+                assert scaled.abstract == base.abstract
 
     def test_monotone_retention(self):
         rng = random.Random(4242)
@@ -254,23 +256,18 @@ class TestScalingAndMonotonicity:
         for _ in range(30):
             inst = random_instance(rng, quantize_prob=0.0)
             base = solve_exact(inst)
-            boosted = [
-                (i, j)
-                for i, labels in enumerate(inst.box_labels)
-                for j in range(len(labels))
-                if base.chosen_visual[inst.box_ids[i]] == labels[j]
-            ]
+            boosted = [(i, j) for i, j in enumerate(base.choice) if j is not None]
             for i, j in boosted:
                 unary = [list(row) for row in inst.unary]
                 unary[i][j] += 0.05
                 bumped = IlpInstance(
-                    box_ids=inst.box_ids, box_labels=inst.box_labels,
+                    box_labels=inst.box_labels,
                     unary=tuple(tuple(row) for row in unary),
                     abstract_labels=inst.abstract_labels,
                     z=inst.z, w=inst.w, budget=inst.budget, visual_cap=inst.visual_cap,
                 )
                 out = solve_exact(bumped)
-                assert out.chosen_visual[inst.box_ids[i]] == inst.box_labels[i][j]
+                assert out.choice[i] == j
                 kept += 1
         assert kept > 0
 
@@ -278,7 +275,6 @@ class TestScalingAndMonotonicity:
 class TestBruteForce:
     def test_size_guard(self):
         big = IlpInstance(
-            box_ids=tuple(f"b{i}" for i in range(12)),
             box_labels=tuple(("x", "y", "z", "w", "v", "u", "t") for _ in range(12)),
             unary=tuple((0.1,) * 7 for _ in range(12)),
             abstract_labels=(),
@@ -293,11 +289,11 @@ class TestBruteForce:
 
 class TestExtractLabels:
     def test_empty_assignment(self):
-        out = extract_labels(Assignment({}, frozenset(), 0.0), make_candidates())
+        out = extract_labels(Assignment((None, None), (), 0.0), make_candidates())
         assert out == []
 
     def test_visual_then_abstract_order(self):
-        a = Assignment({"b1": "cat", "b2": None}, frozenset({"cozy"}), 1.0)
+        a = Assignment((0, None), (0,), 1.0)
         out = extract_labels(a, make_candidates())
         assert [(r.label, r.space, r.box) for r in out] == [
             ("cat", Space.CL, "b1"),
@@ -305,7 +301,7 @@ class TestExtractLabels:
         ]
 
     def test_space_follows_origin(self):
-        a = Assignment({"b1": "dog", "b2": "rug"}, frozenset(), 1.0)
+        a = Assignment((1, 1), (), 1.0)
         out = extract_labels(a, make_candidates())
         assert [(r.label, r.space) for r in out] == [
             ("dog", Space.CL),   # SIMILAR -> CL
@@ -318,25 +314,25 @@ class TestExtractLabels:
             "b2": [VisualCandidate("cup", Origin.ORIGINAL, vconf=0.4)],
         }
         cands = CandidateSets(box_ids=("b1", "b2"), per_box=per_box, abstract=[])
-        a = Assignment({"b1": "cup", "b2": "cup"}, frozenset(), 0.9)
+        a = Assignment((0, 0), (), 0.9)
         out = extract_labels(a, cands)
         assert [(r.label, r.box) for r in out] == [("cup", "b1"), ("cup", "b2")]
 
-    def test_unknown_label_is_violation(self):
-        a = Assignment({"b1": "piano"}, frozenset(), 0.0)
-        with pytest.raises(ContractViolation):
-            extract_labels(a, make_candidates())
+    @pytest.mark.parametrize("choice", [(0,), (0, None, None)])
+    def test_choice_of_other_length_is_error(self, choice):
+        with pytest.raises(ValueError):
+            extract_labels(Assignment(choice, (), 0.0), make_candidates())
 
-    def test_unknown_abstract_is_violation(self):
-        a = Assignment({"b1": None, "b2": None}, frozenset({"warm"}), 0.0)
+    def test_abstract_over_cap_is_violation(self):
+        abstract = [AbstractCandidate(f"a{k}", cnet=1.0, supports=()) for k in range(6)]
+        cands = CandidateSets(box_ids=(), per_box={}, abstract=abstract)
         with pytest.raises(ContractViolation):
-            extract_labels(a, make_candidates())
+            extract_labels(Assignment((), tuple(range(6)), 0.0), cands)
 
 
 class TestTruncate:
     def test_respects_cap_and_keeps_strong_labels(self):
         inst = IlpInstance(
-            box_ids=("x1", "x2", "x3"),
             box_labels=(("a",), ("b",), ("c",)),
             unary=((3.0,), (2.0,), (0.1,)),
             abstract_labels=("glow",),
@@ -349,13 +345,12 @@ class TestTruncate:
         assert full.n_labels() == 4
         cut = truncate_to_cap(inst, full, 2)
         assert cut.n_labels() == 2
-        assert cut.chosen_visual == {"x1": "a", "x2": "b", "x3": None}
+        assert cut.choice == (0, 0, None)
         assert cut.objective_value == pytest.approx(5.0)
 
     def test_marginal_accounts_for_coherence(self):
         # c's unary is lower, but its pairwise tie to a outweighs b's unary
         inst = IlpInstance(
-            box_ids=("x1", "x2", "x3"),
             box_labels=(("a",), ("b",), ("c",)),
             unary=((2.0,), (1.0,), (0.5,)),
             abstract_labels=(),
@@ -366,13 +361,12 @@ class TestTruncate:
         )
         full = solve_exact(inst)
         cut = truncate_to_cap(inst, full, 2)
-        assert cut.chosen_visual == {"x1": "a", "x2": None, "x3": "c"}
+        assert cut.choice == (0, None, 0)
 
 
 class TestWriteLp:
     def test_format_mentions_all_variables_and_triples(self):
         inst = IlpInstance(
-            box_ids=("x1", "x2"),
             box_labels=(("a",), ("b",)),
             unary=((0.6,), (0.5,)),
             abstract_labels=("glow",),
@@ -406,5 +400,5 @@ class TestPipelineConstraintsOnFixture:
             inst = build_instance(cands, hp, rel.srel)
             out = solve_exact(inst)
             assert out.n_labels() <= hp.budget
-            assert len(out.chosen_abstract) <= 5
+            assert len(out.abstract) <= 5
             assert out == brute_force(inst)
