@@ -101,20 +101,6 @@ def rank_abstract(
     return out[:cap]
 
 
-def generate_abstract(
-    visual_candidates: set[str],
-    by_subject: Mapping[str, Mapping[str, float]],
-    cap: int,
-    srel_fn: SrelFn,
-) -> list[AbstractCandidate]:
-    """Abstract phrases asserted about any of the image's visual candidates.
-
-    Phrases that collide with a visual candidate label are skipped (abstract
-    labels live in their own space); see `rank_abstract` for the order.
-    """
-    return rank_abstract(asserted_objects(visual_candidates, by_subject), cap, srel_fn)
-
-
 def generate(
     record: DetectionRecord,
     store: KnowledgeStore,

@@ -14,20 +14,24 @@ runs over X and Y only: depth-first branch and bound over per-box choices
 (including "no label"), with an exact closed-form completion of the
 abstract subset at each leaf.
 
-`solve_exact` densifies Z and W into per-box rows once and carries its state
-down the search: the unary + Z value of the boxes decided so far, what each
-candidate of every later box would add to it, and the running gain of every
-abstract candidate. A node is cut when its budget-aware bound -- the best
-split of the labels still allowed between the remaining boxes and the
-capped abstract subset -- falls below the incumbent. When v more boxes are
-labelled, a box can add at most its carried value plus half its v - 1 best
-partners among the remaining boxes (each pair is shared by its two ends),
-and an abstract candidate at most its current gain plus its best W on v of
-the remaining boxes. At a leaf the bound is the carried objective itself,
-so only leaves that could still be best pay for the canonical
-`objective_value` and the tie-break key. (This is MAP inference with a
-cardinality constraint, solved by depth-first branch and bound; see
-Marinescu & Dechter, AIJ 2009.)
+The instance holds its coefficients as dense per-box arrays, zero-padded to
+the widest box: the unaries, and per box its Z rows against every later box
+and its W rows against every abstract candidate. `build_instance` reads them
+as blocks of the image's srel table, and the instance's `z` and `w` list the
+nonzero terms by variable, for the LP dump. `solve_exact` searches the
+arrays as they are and carries its state down the search: the unary + Z
+value of the boxes decided so far, what each candidate of every later box
+would add to it, and the running gain of every abstract candidate. A node is
+cut when its budget-aware bound -- the best split of the labels still
+allowed between the remaining boxes and the capped abstract subset -- falls
+below the incumbent. When v more boxes are labelled, a box can add at most
+its carried value plus half its v - 1 best partners among the remaining
+boxes (each pair is shared by its two ends), and an abstract candidate at
+most its current gain plus its best W on v of the remaining boxes. At a leaf
+the bound is the carried objective itself, so only leaves that could still
+be best pay for the canonical `objective_value` and the tie-break key. (This
+is MAP inference with a cardinality constraint, solved by depth-first branch
+and bound; see Marinescu & Dechter, AIJ 2009.)
 
 Ties are broken by preferring the lexicographically smallest chosen-label
 multiset, then fewer labels, then labeling earlier boxes. `brute_force`
@@ -44,6 +48,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -51,35 +56,46 @@ import numpy as np
 from .candidates import CandidateSets
 from .errors import ConfigError, ContractViolation, InstanceTooLarge
 from .labels import GLOBAL_BOX, SPACE_OF_ORIGIN, Space
+from .relatedness import SrelTable
 from .scoring import MAX_ABSTRACT_LABELS, Hyperparameters, SrelFn
 
 BRUTE_FORCE_MAX_STATES = 10_000_000
 _PRUNE_EPS = 1e-9
 
 
-@dataclass
+@dataclass(eq=False)
 class IlpInstance:
     box_labels: tuple[tuple[str, ...], ...]   # candidate labels per box
-    unary: tuple[tuple[float, ...], ...]      # alpha * (vconf + kappa * gconf)
+    unary: np.ndarray                          # (n, width): alpha * (vconf + kappa * gconf)
     abstract_labels: tuple[str, ...]
-    z: dict[tuple[int, int, int, int], float]  # (i, j, m, k), i < m
-    w: dict[tuple[int, int, int], float]       # (i, j, k)
+    zrows: list[np.ndarray]  # zrows[i][j, m - i - 1, k]: Z of (i, j) with (m, k), m > i
+    wrows: list[np.ndarray]  # wrows[i][j, k]: W of (i, j) with abstract k
     budget: int | None
     visual_cap: int | None                     # selected-visual bound (80% variant)
     max_abstract: int = MAX_ABSTRACT_LABELS
 
     def __post_init__(self):
-        for i, _, m, _ in self.z:
-            if not i < m:
-                raise ContractViolation(f"pairwise variable spans boxes {i} >= {m}")
-        coeffs = np.fromiter(
-            itertools.chain(*self.unary, self.z.values(), self.w.values()), dtype=float)
+        coeffs = np.concatenate([a.ravel() for a in (self.unary, *self.zrows, *self.wrows)])
         ok = (coeffs >= 0) & np.isfinite(coeffs)  # NaN fails both
         if not ok.all():
             c = float(coeffs[ok.argmin()])
             raise ContractViolation(f"objective coefficient {c!r} not finite nonnegative")
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1 or none, got {self.budget!r}")
+
+    @cached_property
+    def z(self) -> dict[tuple[int, int, int, int], float]:
+        """The nonzero Z coefficients by (i, j, m, k), in sorted key order."""
+        return {(i, j, i + 1 + p, k): float(rows[j, p, k])
+                for i, rows in enumerate(self.zrows)
+                for j, p, k in np.argwhere(rows).tolist()}
+
+    @cached_property
+    def w(self) -> dict[tuple[int, int, int], float]:
+        """The nonzero W coefficients by (i, j, k), in sorted key order."""
+        return {(i, j, k): float(rows[j, k])
+                for i, rows in enumerate(self.wrows)
+                for j, k in np.argwhere(rows).tolist()}
 
     @property
     def n_boxes(self) -> int:
@@ -88,9 +104,6 @@ class IlpInstance:
     @property
     def n_abstract(self) -> int:
         return len(self.abstract_labels)
-
-    def n_primary_vars(self) -> int:
-        return sum(len(labels) for labels in self.box_labels) + self.n_abstract
 
     def search_states(self) -> float:
         states = 1.0
@@ -117,46 +130,44 @@ def build_instance(
 ) -> IlpInstance:
     """Assemble coefficients and bounds from a candidate space.
 
-    Zero-coefficient pairwise variables are omitted; they cannot change the
-    optimum and only inflate the search.
+    Each Z block is `beta` times the srel block of two boxes' labels, and
+    each W block the srel block of a box's labels against the abstract
+    labels, times `gamma * cnet` per abstract candidate.
     """
-    box_labels = tuple(
-        tuple(c.label for c in cands.per_box[box_id]) for box_id in cands.box_ids
-    )
-    unary = tuple(
-        tuple(hp.alpha * (c.vconf + hp.kappa * c.gconf) for c in cands.per_box[box_id])
-        for box_id in cands.box_ids
-    )
+    boxes = [cands.per_box[box_id] for box_id in cands.box_ids]
+    box_labels = tuple(tuple(c.label for c in box) for box in boxes)
     abstract_labels = tuple(a.label for a in cands.abstract)
+    n = len(boxes)
+    sizes = [len(box) for box in boxes]
+    width = max(sizes, default=0)
 
-    z: dict[tuple[int, int, int, int], float] = {}
-    if hp.beta > 0:
-        for i in range(len(box_labels)):
-            for m in range(i + 1, len(box_labels)):
-                for j, lj in enumerate(box_labels[i]):
-                    for k, lk in enumerate(box_labels[m]):
-                        coeff = hp.beta * srel_fn(lj, lk)
-                        if coeff > 0.0:
-                            z[(i, j, m, k)] = coeff
-
-    w: dict[tuple[int, int, int], float] = {}
-    if hp.gamma > 0:
-        for k, cand in enumerate(cands.abstract):
-            for i in range(len(box_labels)):
-                for j, lj in enumerate(box_labels[i]):
-                    coeff = hp.gamma * cand.cnet * srel_fn(lj, cand.label)
-                    if coeff > 0.0:
-                        w[(i, j, k)] = coeff
+    unary = np.zeros((n, width))
+    for i, box in enumerate(boxes):
+        unary[i, : sizes[i]] = [hp.alpha * (c.vconf + hp.kappa * c.gconf) for c in box]
+    zrows = [np.zeros((sizes[i], n - i - 1, width)) for i in range(n)]
+    for i in range(n):
+        for m in range(i + 1, n):
+            zrows[i][:, m - i - 1, : sizes[m]] = \
+                hp.beta * _srel_block(srel_fn, box_labels[i], box_labels[m])
+    weights = hp.gamma * np.array([a.cnet for a in cands.abstract])
+    wrows = [_srel_block(srel_fn, labels, abstract_labels) * weights for labels in box_labels]
 
     return IlpInstance(
         box_labels=box_labels,
         unary=unary,
         abstract_labels=abstract_labels,
-        z=z,
-        w=w,
+        zrows=zrows,
+        wrows=wrows,
         budget=hp.budget,
-        visual_cap=math.floor(0.8 * len(box_labels)) if hp.visir_star else None,
+        visual_cap=math.floor(0.8 * n) if hp.visir_star else None,
     )
+
+
+def _srel_block(srel_fn: SrelFn, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+    """srel of every pair of `rows` x `cols`; a plain function is called once per pair."""
+    if isinstance(srel_fn, SrelTable):
+        return srel_fn.block(rows, cols)
+    return np.array([[srel_fn(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
 
 
 # --- objective and ordering ----------------------------------------------------
@@ -170,32 +181,26 @@ def objective_value(
     per-abstract gains) so equivalent assignments get bit-identical values
     regardless of which solver produced them.
     """
+    chosen = [(i, j) for i, j in enumerate(choice) if j is not None]
     val = 0.0
-    n = inst.n_boxes
-    for i in range(n):
-        j = choice[i]
-        if j is not None:
-            val += inst.unary[i][j]
-    for i in range(n):
-        ji = choice[i]
-        if ji is None:
-            continue
-        for m in range(i + 1, n):
-            jm = choice[m]
-            if jm is not None:
-                val += inst.z.get((i, ji, m, jm), 0.0)
+    for i, j in chosen:
+        val += inst.unary[i, j]
+    for p, (i, j) in enumerate(chosen):
+        for m, k in chosen[p + 1:]:
+            val += inst.zrows[i][j, m - i - 1, k]
+    gains = _abstract_gains(inst, choice)
     for k in sorted(abstract):
-        val += _abstract_gain(inst, choice, k)
-    return val
+        val += gains[k]
+    return float(val)
 
 
-def _abstract_gain(inst: IlpInstance, choice: Sequence[int | None], k: int) -> float:
-    gain = 0.0
-    for i in range(inst.n_boxes):
-        j = choice[i]
+def _abstract_gains(inst: IlpInstance, choice: Sequence[int | None]) -> np.ndarray:
+    """Per abstract candidate, its W summed over the chosen boxes in box order."""
+    gains = np.zeros(inst.n_abstract)
+    for i, j in enumerate(choice):
         if j is not None:
-            gain += inst.w.get((i, j, k), 0.0)
-    return gain
+            gains += inst.wrows[i][j]
+    return gains
 
 
 def _assignment_key(inst, choice, abstract, obj):
@@ -235,7 +240,7 @@ def _best_abstract(inst: IlpInstance, choice: Sequence[int | None], allowance: i
     """
     if allowance <= 0 or inst.n_abstract == 0:
         return ()
-    gains = [(_abstract_gain(inst, choice, k), k) for k in range(inst.n_abstract)]
+    gains = [(g, k) for k, g in enumerate(_abstract_gains(inst, choice).tolist())]
     positives = sorted(
         ((g, inst.abstract_labels[k], k) for g, k in gains if g > 0.0),
         key=lambda t: (-t[0], t[1]),
@@ -269,19 +274,8 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     """
     n, n_abs = inst.n_boxes, inst.n_abstract
     sizes = [len(labels) for labels in inst.box_labels]
-    width = max(sizes, default=0)
-
-    # dense coefficients, zero-padded to `width` candidates per box:
-    # zrows[i][j][m - i - 1] is the Z row of candidate j of box i against box m > i
-    zrows = [np.zeros((sizes[i], n - i - 1, width)) for i in range(n)]
-    for (i, j, m, k), c in inst.z.items():
-        zrows[i][j, m - i - 1, k] = c
-    wrows = [np.zeros((sizes[i], n_abs)) for i in range(n)]
-    for (i, j, k), c in inst.w.items():
-        wrows[i][j, k] = c
-    unary = np.zeros((n, width))
-    for i, row in enumerate(inst.unary):
-        unary[i, : sizes[i]] = row
+    unary, zrows, wrows = inst.unary, inst.zrows, inst.wrows
+    width = unary.shape[1]
 
     max_abs = min(inst.max_abstract, n_abs)
     no_limit = n + max_abs
@@ -479,15 +473,15 @@ def write_lp(inst: IlpInstance, fh) -> None:
         return f"{c:.9g}"
 
     terms = []
-    for i, per_box in enumerate(inst.unary):
-        for j, c in enumerate(per_box):
+    for i, labels in enumerate(inst.box_labels):
+        for j, c in enumerate(inst.unary[i, : len(labels)].tolist()):
             terms.append(f"{fmt(c)} X_{i}_{j}")
     for k in range(inst.n_abstract):
         terms.append(f"0 Y_{k}")
-    for (i, j, m, k) in sorted(inst.z):
-        terms.append(f"{fmt(inst.z[(i, j, m, k)])} Z_{i}_{j}_{m}_{k}")
-    for (i, j, k) in sorted(inst.w):
-        terms.append(f"{fmt(inst.w[(i, j, k)])} W_{i}_{j}_{k}")
+    for (i, j, m, k), c in inst.z.items():
+        terms.append(f"{fmt(c)} Z_{i}_{j}_{m}_{k}")
+    for (i, j, k), c in inst.w.items():
+        terms.append(f"{fmt(c)} W_{i}_{j}_{k}")
 
     fh.write("\\ joint label selection instance\n")
     fh.write("Maximize\n obj: " + (" + ".join(terms) if terms else "0") + "\n")
@@ -505,20 +499,20 @@ def write_lp(inst: IlpInstance, fh) -> None:
         fh.write(f" total_budget: {row} <= {inst.budget}\n")
     if inst.visual_cap is not None and x_all:
         fh.write(f" visual_cap: {' + '.join(x_all)} <= {inst.visual_cap}\n")
-    for (i, j, m, k) in sorted(inst.z):
+    for (i, j, m, k) in inst.z:
         name = f"Z_{i}_{j}_{m}_{k}"
         fh.write(f" lin_{name}_a: {name} - X_{i}_{j} <= 0\n")
         fh.write(f" lin_{name}_b: {name} - X_{m}_{k} <= 0\n")
         fh.write(f" lin_{name}_c: X_{i}_{j} + X_{m}_{k} - {name} <= 1\n")
-    for (i, j, k) in sorted(inst.w):
+    for (i, j, k) in inst.w:
         name = f"W_{i}_{j}_{k}"
         fh.write(f" lin_{name}_a: {name} - X_{i}_{j} <= 0\n")
         fh.write(f" lin_{name}_b: {name} - Y_{k} <= 0\n")
         fh.write(f" lin_{name}_c: X_{i}_{j} + Y_{k} - {name} <= 1\n")
     fh.write("Binaries\n")
     names = x_all + [f"Y_{k}" for k in range(inst.n_abstract)]
-    names += [f"Z_{i}_{j}_{m}_{k}" for (i, j, m, k) in sorted(inst.z)]
-    names += [f"W_{i}_{j}_{k}" for (i, j, k) in sorted(inst.w)]
+    names += [f"Z_{i}_{j}_{m}_{k}" for (i, j, m, k) in inst.z]
+    names += [f"W_{i}_{j}_{k}" for (i, j, k) in inst.w]
     for name in names:
         fh.write(f" {name}\n")
     fh.write("End\n")

@@ -53,12 +53,13 @@ class EmbeddingTable:
         return len(self.vectors)
 
 
+@np.errstate(over="ignore")  # an overflowing squared norm is a LoadError, not a warning
 def load_embeddings(path) -> EmbeddingTable:
     """Parse `token v1 v2 ... vd` lines (whitespace separated).
 
     All rows must agree on the dimension; non-numeric or non-finite
-    components are load errors. Duplicate tokens resolve last-wins and are
-    counted in the returned table.
+    components, and a vector whose squared norm overflows, are load errors.
+    Duplicate tokens resolve last-wins and are counted in the returned table.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = 0
@@ -72,8 +73,11 @@ def load_embeddings(path) -> EmbeddingTable:
             vec = np.array(parts[1:], dtype=float)
         except ValueError as exc:
             raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
-        if not np.all(np.isfinite(vec)):
-            raise LoadError(path, "non-finite vector component", lineno)
+        # a non-finite component makes the squared norm non-finite too
+        if not math.isfinite(vec @ vec):
+            what = "squared vector norm overflows" if np.isfinite(vec).all() \
+                else "non-finite vector component"
+            raise LoadError(path, what, lineno)
         if dim == 0 and not vectors:
             dim = vec.size
         elif vec.size != dim:

@@ -30,20 +30,26 @@ class SrelTable:
     """srel over a fixed rows x cols block, looked up by label.
 
     Called as `table(a, b)` with `a` a row label and `b` a column label, so
-    it serves wherever a scalar srel function does on those pairs; any other
-    label is a KeyError. A pair of labels that are both rows and both
-    columns has one value, whichever way it is asked for.
+    it serves wherever a scalar srel function does on those pairs;
+    `block(rows, cols)` reads a whole sub-block as an array. Any other label
+    is a KeyError. A pair of labels that are both rows and both columns has
+    one value, whichever way it is asked for.
     """
 
     __slots__ = ("_rows", "_cols", "_values")
 
-    def __init__(self, rows: dict[str, int], cols: dict[str, int], values: list[list[float]]):
+    def __init__(self, rows: dict[str, int], cols: dict[str, int], values: np.ndarray):
         self._rows = rows
         self._cols = cols
         self._values = values
 
     def __call__(self, a: str, b: str) -> float:
-        return self._values[self._rows[a]][self._cols[b]]
+        return float(self._values[self._rows[a], self._cols[b]])
+
+    def block(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
+        """srel of every pair of `rows` x `cols`, as a new array."""
+        return self._values[np.ix_([self._rows[a] for a in rows],
+                                   [self._cols[b] for b in cols])]
 
 
 class Relatedness:
@@ -129,7 +135,7 @@ class Relatedness:
             r, c = np.array(shared).T
             lower, upper = np.tril_indices(len(shared), -1)
             values[r[lower], c[upper]] = values[r[upper], c[lower]]
-        return SrelTable(row_at, col_at, values.tolist())
+        return SrelTable(row_at, col_at, values)
 
 
 def image_coherence(top_labels: list[str], rel: Relatedness) -> float:

@@ -15,7 +15,7 @@ times their semantic relatedness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, ContractViolation
@@ -68,10 +68,6 @@ class Hyperparameters:
             raise ConfigError(f"tau_s must be in (0, 1], got {self.tau_s!r}")
         if self.abstract_cap < 1:
             raise ConfigError(f"abstract_cap must be >= 1, got {self.abstract_cap!r}")
-
-    def scaled(self, c: float) -> "Hyperparameters":
-        """Jointly scale the three evidence weights (argmax-invariant for c > 0)."""
-        return replace(self, alpha=self.alpha * c, beta=self.beta * c, gamma=self.gamma * c)
 
 
 def vconf(box: BoundingBox, label: str, vsim_table: VsimTable) -> float:

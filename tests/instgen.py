@@ -8,10 +8,34 @@ binary fractions, so mathematically tied sums are bitwise tied too).
 import math
 import random
 
+import numpy as np
+
 from tagrefine.ilp import IlpInstance
 
 LABEL_POOL = [f"l{i}" for i in range(10)]
 ABSTRACT_POOL = [f"a{i}" for i in range(10)]
+
+
+def instance(box_labels, unary, abstract_labels=(), z=None, w=None, budget=5,
+             visual_cap=None) -> IlpInstance:
+    """An instance from per-box unary rows and `z`/`w` dicts keyed (i, j, m, k)
+    with i < m and (i, j, k); absent keys are zero coefficients."""
+    n, n_abs = len(box_labels), len(abstract_labels)
+    sizes = [len(labels) for labels in box_labels]
+    width = max(sizes, default=0)
+    dense = np.zeros((n, width))
+    for i, row in enumerate(unary):
+        dense[i, : len(row)] = row
+    zrows = [np.zeros((sizes[i], n - i - 1, width)) for i in range(n)]
+    for (i, j, m, k), c in (z or {}).items():
+        assert i < m, (i, m)
+        zrows[i][j, m - i - 1, k] = c
+    wrows = [np.zeros((sizes[i], n_abs)) for i in range(n)]
+    for (i, j, k), c in (w or {}).items():
+        wrows[i][j, k] = c
+    return IlpInstance(box_labels=tuple(box_labels), unary=dense,
+                       abstract_labels=tuple(abstract_labels), zrows=zrows, wrows=wrows,
+                       budget=budget, visual_cap=visual_cap)
 
 
 def random_instance(
@@ -60,7 +84,7 @@ def random_instance(
     if allow_visir and rng.random() < 0.3:
         visual_cap = math.floor(0.8 * n_boxes)
 
-    return IlpInstance(
+    return instance(
         box_labels=tuple(box_labels),
         unary=tuple(unary),
         abstract_labels=abstract,
@@ -74,7 +98,7 @@ def random_instance(
 def dense_instance(rng: random.Random, n_boxes: int, n_cands: int, n_abstract: int) -> IlpInstance:
     """Budget 5; every Z and W coefficient present and uniform in [0, 1): little to prune."""
     n, c, K = n_boxes, n_cands, n_abstract
-    return IlpInstance(
+    return instance(
         box_labels=tuple(tuple(f"l{i}_{j}" for j in range(c)) for i in range(n)),
         unary=tuple(tuple(rng.random() for _ in range(c)) for _ in range(n)),
         abstract_labels=tuple(f"a{k}" for k in range(K)),

@@ -11,6 +11,7 @@ import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -257,7 +258,8 @@ def test_scaling_invariance():
         cands = generate(record, store, hp, rel.srel)
         base = solve_exact(build_instance(cands, hp, rel.srel))
         for c in (0.1, 3.0, 17.0):
-            scaled = solve_exact(build_instance(cands, hp.scaled(c), rel.srel))
+            hp_c = replace(hp, alpha=hp.alpha * c, beta=hp.beta * c, gamma=hp.gamma * c)
+            scaled = solve_exact(build_instance(cands, hp_c, rel.srel))
             assert scaled.choice == base.choice, f"run {run} c={c}"
             assert scaled.abstract == base.abstract, f"run {run} c={c}"
     report("scaling invariance (100 instances x {0.1, 3, 17})")

@@ -1,10 +1,11 @@
 import pytest
 
 from tagrefine.candidates import (
+    asserted_objects,
     expand_hypernyms,
     expand_similar,
     generate,
-    generate_abstract,
+    rank_abstract,
 )
 from tagrefine.errors import ConfigError
 from tagrefine.knowledge import KnowledgeStore, load_assertions
@@ -20,6 +21,11 @@ def box(bid="b1", **cands):
 
 
 FLAT_SREL = lambda a, b: 0.5
+
+
+def generate_abstract(visual, by_subject, cap, srel_fn):
+    """Abstract candidates for a set of visual labels, as `generate` ranks them."""
+    return rank_abstract(asserted_objects(visual, by_subject), cap, srel_fn)
 
 
 def by_subject(tmp_path, assertions):

@@ -192,6 +192,22 @@ class TestRefine:
         assert err.startswith(f"error: {bad}:3: not valid UTF-8")
         assert "Traceback" not in err
 
+    def test_overflowing_embedding_norm_exits_2(self, fixtures_dir, tmp_path, knowledge_args,
+                                                capsys):
+        # finite components whose squared norm overflows would make srel NaN
+        bad = tmp_path / "embeddings.txt"
+        source = (fixtures_dir / "embeddings.txt").read_text(encoding="utf-8")
+        bad.write_text(source.replace("snake 1 0 0 0\n", "snake 1e200 0 0 0\n"),
+                       encoding="utf-8")
+        argv = ["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
+                "--out", str(tmp_path / "o.jsonl"), *knowledge_args]
+        argv[argv.index("--embeddings") + 1] = str(bad)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"error: {bad}:3: squared vector norm overflows")
+        assert "Traceback" not in err
+
     def test_budget_none_truncates_to_five(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "refined.jsonl"
         rc = main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),

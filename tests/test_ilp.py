@@ -1,15 +1,16 @@
 import io
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from instgen import dense_instance, random_instance
+from instgen import dense_instance, instance, random_instance
 from tagrefine import ilp
 from tagrefine.candidates import AbstractCandidate, CandidateSets, VisualCandidate, generate
 from tagrefine.errors import ConfigError, ContractViolation, InstanceTooLarge
 from tagrefine.ilp import (
     Assignment,
-    IlpInstance,
     brute_force,
     build_instance,
     extract_labels,
@@ -48,14 +49,15 @@ def simple_instance(**overrides):
         visual_cap=None,
     )
     base.update(overrides)
-    return IlpInstance(**base)
+    return instance(**base)
 
 
 class TestBuildInstance:
     def test_variable_counts(self):
         srel = lambda a, b: 0.3
         inst = build_instance(make_candidates(), Hyperparameters(), srel)
-        assert inst.n_primary_vars() == 5  # 4 X + 1 Y
+        n_primary_vars = sum(len(labels) for labels in inst.box_labels) + inst.n_abstract
+        assert n_primary_vars == 5  # 4 X + 1 Y
         assert len(inst.z) <= 4
         assert len(inst.w) <= 4
         assert all(c > 0 for c in inst.z.values())
@@ -71,12 +73,55 @@ class TestBuildInstance:
     def test_empty_candidates(self):
         empty = CandidateSets(box_ids=(), per_box={}, abstract=[])
         inst = build_instance(empty, Hyperparameters(), lambda a, b: 1.0)
-        assert inst.n_primary_vars() == 0
+        assert sum(len(labels) for labels in inst.box_labels) + inst.n_abstract == 0
 
     def test_zero_weights_omit_pair_vars(self):
         hp = Hyperparameters(beta=0.0, gamma=0.0)
         inst = build_instance(make_candidates(), hp, lambda a, b: 0.9)
         assert inst.z == {} and inst.w == {}
+
+    def test_table_and_plain_function_give_the_same_arrays(self, fixture_store,
+                                                            fixture_records):
+        from tagrefine.pipeline import make_relatedness
+
+        hp = Hyperparameters()
+        rel = make_relatedness(fixture_store, hp)
+        for record in fixture_records:
+            cands = generate(record, fixture_store, hp, rel)
+            table = build_instance(cands, hp, cands.srel)
+            plain = build_instance(cands, hp, rel.srel)
+            assert np.array_equal(table.unary, plain.unary)
+            for a, b in [*zip(table.zrows, plain.zrows, strict=True),
+                         *zip(table.wrows, plain.wrows, strict=True)]:
+                assert np.array_equal(a, b), record.image_id
+
+    def test_z_and_w_list_the_nonzero_terms_in_key_order(self, fixture_store,
+                                                         fixture_records):
+        from tagrefine.pipeline import make_relatedness
+
+        hp = Hyperparameters(beta=0.7, gamma=1.3)
+        rel = make_relatedness(fixture_store, hp)
+        for record in fixture_records:
+            cands = generate(record, fixture_store, hp, rel)
+            inst = build_instance(cands, hp, cands.srel)
+            labels = inst.box_labels
+            z, w = {}, {}
+            for i in range(len(labels)):
+                for m in range(i + 1, len(labels)):
+                    for j, lj in enumerate(labels[i]):
+                        for k, lk in enumerate(labels[m]):
+                            coeff = hp.beta * cands.srel(lj, lk)
+                            if coeff > 0.0:
+                                z[(i, j, m, k)] = coeff
+            for k, cand in enumerate(cands.abstract):
+                for i in range(len(labels)):
+                    for j, lj in enumerate(labels[i]):
+                        coeff = hp.gamma * cand.cnet * cands.srel(lj, cand.label)
+                        if coeff > 0.0:
+                            w[(i, j, k)] = coeff
+            assert z and w
+            assert list(inst.z.items()) == sorted(z.items())
+            assert list(inst.w.items()) == sorted(w.items())
 
     def test_visir_cap_five_boxes(self):
         per_box = {f"b{i}": [VisualCandidate("x", Origin.ORIGINAL, vconf=0.5)] for i in range(5)}
@@ -101,19 +146,11 @@ class TestBuildInstance:
         with pytest.raises(ContractViolation, match=repr(bad)):
             simple_instance(**overrides)
 
-    def test_z_must_span_distinct_boxes(self):
-        with pytest.raises(ContractViolation):
-            simple_instance(
-                box_labels=(("cat", "dog"),),
-                unary=((0.5, 0.4),),
-                z={(0, 0, 0, 1): 0.3},
-            )
-
 
 class TestSolveExact:
     def test_empty_instance(self):
-        inst = IlpInstance(box_labels=(), unary=(), abstract_labels=(),
-                           z={}, w={}, budget=5, visual_cap=None)
+        inst = instance(box_labels=(), unary=(), abstract_labels=(),
+                        z={}, w={}, budget=5, visual_cap=None)
         out = solve_exact(inst)
         assert out == Assignment((), (), 0.0)
 
@@ -123,7 +160,7 @@ class TestSolveExact:
         assert out.objective_value == pytest.approx(0.7)
 
     def test_two_box_coherence_beats_unaries(self):
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("a", "b"), ("c", "d")),
             unary=((0.5, 0.4), (0.5, 0.4)),
             abstract_labels=(),
@@ -140,7 +177,7 @@ class TestSolveExact:
 
     def test_budget_forces_tradeoff(self):
         # one visual slot vs an abstract label worth more through coherence
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("a",), ("b",)),
             unary=((0.6,), (0.5,)),
             abstract_labels=("glow",),
@@ -155,7 +192,7 @@ class TestSolveExact:
         assert out == brute_force(inst)
 
     def test_visual_cap_enforced(self):
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("a",), ("b",)),
             unary=((0.6,), (0.5,)),
             abstract_labels=(),
@@ -169,7 +206,7 @@ class TestSolveExact:
         assert out == brute_force(inst)
 
     def test_abstract_cap_is_five(self):
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("v",),),
             unary=((1.0,),),
             abstract_labels=tuple(f"a{i}" for i in range(7)),
@@ -230,15 +267,8 @@ class TestSearchEffort:
 
 class TestScalingAndMonotonicity:
     def scaled_instance(self, inst, c):
-        return IlpInstance(
-            box_labels=inst.box_labels,
-            unary=tuple(tuple(c * u for u in row) for row in inst.unary),
-            abstract_labels=inst.abstract_labels,
-            z={k: c * v for k, v in inst.z.items()},
-            w={k: c * v for k, v in inst.w.items()},
-            budget=inst.budget,
-            visual_cap=inst.visual_cap,
-        )
+        return replace(inst, unary=c * inst.unary, zrows=[c * rows for rows in inst.zrows],
+                       wrows=[c * rows for rows in inst.wrows])
 
     def test_joint_scaling_keeps_assignment(self):
         rng = random.Random(99)
@@ -258,14 +288,9 @@ class TestScalingAndMonotonicity:
             base = solve_exact(inst)
             boosted = [(i, j) for i, j in enumerate(base.choice) if j is not None]
             for i, j in boosted:
-                unary = [list(row) for row in inst.unary]
-                unary[i][j] += 0.05
-                bumped = IlpInstance(
-                    box_labels=inst.box_labels,
-                    unary=tuple(tuple(row) for row in unary),
-                    abstract_labels=inst.abstract_labels,
-                    z=inst.z, w=inst.w, budget=inst.budget, visual_cap=inst.visual_cap,
-                )
+                unary = inst.unary.copy()
+                unary[i, j] += 0.05
+                bumped = replace(inst, unary=unary)
                 out = solve_exact(bumped)
                 assert out.choice[i] == j
                 kept += 1
@@ -274,7 +299,7 @@ class TestScalingAndMonotonicity:
 
 class TestBruteForce:
     def test_size_guard(self):
-        big = IlpInstance(
+        big = instance(
             box_labels=tuple(("x", "y", "z", "w", "v", "u", "t") for _ in range(12)),
             unary=tuple((0.1,) * 7 for _ in range(12)),
             abstract_labels=(),
@@ -332,7 +357,7 @@ class TestExtractLabels:
 
 class TestTruncate:
     def test_respects_cap_and_keeps_strong_labels(self):
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("a",), ("b",), ("c",)),
             unary=((3.0,), (2.0,), (0.1,)),
             abstract_labels=("glow",),
@@ -350,7 +375,7 @@ class TestTruncate:
 
     def test_marginal_accounts_for_coherence(self):
         # c's unary is lower, but its pairwise tie to a outweighs b's unary
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("a",), ("b",), ("c",)),
             unary=((2.0,), (1.0,), (0.5,)),
             abstract_labels=(),
@@ -366,7 +391,7 @@ class TestTruncate:
 
 class TestWriteLp:
     def test_format_mentions_all_variables_and_triples(self):
-        inst = IlpInstance(
+        inst = instance(
             box_labels=(("a",), ("b",)),
             unary=((0.6,), (0.5,)),
             abstract_labels=("glow",),

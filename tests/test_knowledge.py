@@ -70,9 +70,17 @@ class TestLoadEmbeddings:
             load_embeddings(path)
 
     def test_non_finite_component(self, tmp_path):
-        path = write(tmp_path, "emb.txt", "cat 1 nan 3\n")
-        with pytest.raises(LoadError):
+        for value in ("nan", "inf", "-inf"):
+            path = write(tmp_path, "emb.txt", f"cat 1 {value} 3\n")
+            with pytest.raises(LoadError, match="non-finite vector component"):
+                load_embeddings(path)
+
+    def test_overflowing_squared_norm_names_line(self, tmp_path):
+        # every component is finite, but the norm of this row is not
+        path = write(tmp_path, "emb.txt", "cat 1 0 0\nsnake 1e200 0 0\n")
+        with pytest.raises(LoadError, match="squared vector norm overflows") as err:
             load_embeddings(path)
+        assert ":2" in str(err.value)
 
     def test_duplicate_token_last_wins(self, tmp_path):
         path = write(tmp_path, "emb.txt", "cat 1 0\ncat 0 1\n")

@@ -1,6 +1,8 @@
+from dataclasses import replace
+
 import pytest
 
-from tagrefine.candidates import generate_abstract
+from tagrefine.candidates import asserted_objects, rank_abstract
 from tagrefine.errors import ConfigError, ContractViolation
 from tagrefine.scoring import Hyperparameters, gconf, vconf
 from tagrefine.vsim import BoundingBox, VsimTable
@@ -27,9 +29,12 @@ class TestHyperparameters:
         assert Hyperparameters(budget=None).budget is None
 
     def test_scaled(self):
-        hp = Hyperparameters(alpha=1.0, beta=2.0, gamma=3.0, kappa=4.0).scaled(2.0)
+        hp = Hyperparameters(alpha=1.0, beta=2.0, gamma=3.0, kappa=4.0)
+        hp = replace(hp, alpha=hp.alpha * 2.0, beta=hp.beta * 2.0, gamma=hp.gamma * 2.0)
         assert (hp.alpha, hp.beta, hp.gamma) == (2.0, 4.0, 6.0)
         assert hp.kappa == 4.0  # kappa is inside the alpha term, not scaled
+        with pytest.raises(ConfigError):  # `replace` validates the new weights
+            replace(hp, alpha=-hp.alpha)
 
 
 class TestVconf:
@@ -80,12 +85,12 @@ class TestGconf:
 
 
 def aconf(label, assertion, srel):
-    """The support `generate_abstract` gives `label` for a one-assertion store.
+    """The support `rank_abstract` gives `label` for a one-assertion store.
 
     `assertion` is a (subject, relation, object, score) row.
     """
     subject, _, obj, score = assertion
-    [candidate] = generate_abstract({label}, {subject: {obj: score}}, 10, srel)
+    [candidate] = rank_abstract(asserted_objects({label}, {subject: {obj: score}}), 10, srel)
     [(subject, support)] = candidate.supports
     assert subject == label
     return support
