@@ -30,11 +30,8 @@ class VisualCandidate:
 @dataclass(frozen=True)
 class AbstractCandidate:
     label: str
-    cnet: float  # strongest supporting assertion weight
-    supports: tuple[tuple[str, float], ...]  # (visual label, its aconf)
-
-    def max_aconf(self) -> float:
-        return max((a for _, a in self.supports), default=0.0)
+    cnet: float   # strongest supporting assertion weight
+    aconf: float  # best support: cnet * srel(visual label, phrase)
 
 
 @dataclass
@@ -56,13 +53,10 @@ def expand_similar(box: BoundingBox, vsim_table: VsimTable, tau_s: float) -> set
 
 def expand_hypernyms(
     visual_labels: Iterable[str], parents: Mapping[str, tuple[str, ...]]
-) -> dict[str, tuple[str, ...]]:
-    """Hypernym parents of the given labels, keyed parent -> children here."""
-    children_of: dict[str, set[str]] = {}
-    for label in visual_labels:
-        for parent in parents.get(label, ()):
-            children_of.setdefault(parent, set()).add(label)
-    return {parent: tuple(sorted(kids)) for parent, kids in children_of.items()}
+) -> list[str]:
+    """Hypernym parents of the given labels that are not among them, sorted."""
+    labels = set(visual_labels)
+    return sorted({parent for label in labels for parent in parents.get(label, ())} - labels)
 
 
 def asserted_objects(
@@ -84,20 +78,18 @@ def asserted_objects(
 def rank_abstract(
     supporting: Mapping[str, Mapping[str, float]], cap: int, srel_fn: SrelFn
 ) -> list[AbstractCandidate]:
-    """Abstract candidates from `asserted_objects`: each phrase's supports,
-    ranked by the best supporting aconf, ties broken lexicographically, and
-    truncated to `cap` to keep the joint selection tractable."""
+    """Abstract candidates from `asserted_objects`, ranked by their best
+    support, ties broken lexicographically, and truncated to `cap` to keep
+    the joint selection tractable."""
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
     out: list[AbstractCandidate] = []
     for obj in sorted(supporting):
         scores = supporting[obj]
         cnet = max(scores.values())
-        supports = tuple(
-            (subject, cnet * srel_fn(subject, obj)) for subject in sorted(scores)
-        )
-        out.append(AbstractCandidate(label=obj, cnet=cnet, supports=supports))
-    out.sort(key=lambda c: (-c.max_aconf(), c.label))
+        aconf = max(cnet * srel_fn(subject, obj) for subject in scores)
+        out.append(AbstractCandidate(label=obj, cnet=cnet, aconf=aconf))
+    out.sort(key=lambda c: (-c.aconf, c.label))
     return out[:cap]
 
 
@@ -119,18 +111,14 @@ def generate(
     for box in record.boxes:
         original = list(box.labels())
         similar = sorted(expand_similar(box, store.vsim, hp.tau_s))
-        # ordered, not a set: gconf sums over it, and set order follows the
-        # string hash seed, which would change the last bits between runs
-        box_visual = original + similar
-        hyper = [label for label in sorted(expand_hypernyms(box_visual, store.parents))
-                 if label not in box_visual]  # else an original/similar candidate
+        hyper = expand_hypernyms(original + similar, store.parents)
         boxes.append((box, original, similar, hyper))
 
     # in box order, so the table, and every value read from it, is the
     # same in every process
     visual = list(dict.fromkeys(label for _, original, similar, hyper in boxes
                                 for label in (*original, *similar, *hyper)))
-    # every asserted phrase, before the cap: the supports decide the ranking
+    # every asserted phrase, before the cap: the best supports decide the ranking
     supporting = asserted_objects(visual, store.by_subject)
     srel_fn = srel.table(visual, visual + sorted(supporting)) \
         if isinstance(srel, Relatedness) else srel
@@ -148,6 +136,8 @@ def generate(
                 VisualCandidate(label=label, origin=Origin.SIMILAR,
                                 vconf=vconf(box, label, store.vsim))
             )
+        # ordered, not a set: gconf sums over it, and set order follows the
+        # string hash seed, which would change the last bits between runs
         box_visual = original + similar
         for label in hyper:
             cands.append(

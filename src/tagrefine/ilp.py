@@ -49,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class IlpInstance:
     wrows: list[np.ndarray]  # wrows[i][j, k]: W of (i, j) with abstract k
     budget: int | None
     visual_cap: int | None                     # selected-visual bound (80% variant)
-    max_abstract: int = MAX_ABSTRACT_LABELS
+    max_abstract: ClassVar[int] = MAX_ABSTRACT_LABELS
 
     def __post_init__(self):
         coeffs = np.concatenate([a.ravel() for a in (self.unary, *self.zrows, *self.wrows)])
@@ -117,12 +117,6 @@ class Assignment:
     choice: tuple[int | None, ...]  # per box, its chosen candidate (None = unlabeled)
     abstract: tuple[int, ...]       # chosen abstract candidates, sorted
     objective_value: float
-
-    def n_visual(self) -> int:
-        return sum(1 for j in self.choice if j is not None)
-
-    def n_labels(self) -> int:
-        return self.n_visual() + len(self.abstract)
 
 
 def build_instance(

@@ -38,7 +38,6 @@ class EmbeddingTable:
 
     dim: int
     vectors: dict[str, np.ndarray]
-    duplicates: int = 0  # tokens that appeared more than once (last wins)
 
     def label_vector(self, label: str) -> np.ndarray | None:
         """Mean of in-vocabulary token vectors; None if all tokens are OOV."""
@@ -59,7 +58,7 @@ def load_embeddings(path) -> EmbeddingTable:
 
     All rows must agree on the dimension; non-numeric or non-finite
     components, and a vector whose squared norm overflows, are load errors.
-    Duplicate tokens resolve last-wins and are counted in the returned table.
+    Duplicate tokens resolve last-wins, and their count is logged as one warning.
     """
     vectors: dict[str, np.ndarray] = {}
     dim = 0
@@ -90,7 +89,7 @@ def load_embeddings(path) -> EmbeddingTable:
         vectors[token] = vec
     if duplicates:
         log.warning("%s: %d duplicate embedding tokens (last wins)", path, duplicates)
-    return EmbeddingTable(dim=dim, vectors=vectors, duplicates=duplicates)
+    return EmbeddingTable(dim=dim, vectors=vectors)
 
 
 # --- frequency allowlist -------------------------------------------------------

@@ -25,6 +25,10 @@ log = logging.getLogger(__name__)
 
 # with the joint budget disabled, output still trims to the standard budget
 POST_TRUNCATION_CAP = 5
+# `select_incoherent` keeps images of 3..7 boxes whose top labels are less
+# related than the cut on average
+MIN_BOXES, MAX_BOXES = 3, 7
+COHERENCE_CUT = 0.1
 
 
 def make_relatedness(store: KnowledgeStore, hp: Hyperparameters) -> Relatedness:
@@ -87,25 +91,22 @@ def select_incoherent(
     records: Iterable[DetectionRecord],
     store: KnowledgeStore,
     hp: Hyperparameters,
-    min_boxes: int = 3,
-    max_boxes: int = 7,
-    coherence_cut: float = 0.1,
 ) -> list[DetectionRecord]:
     """Keep images whose detections look contextually incoherent.
 
-    An image qualifies with `min_boxes..max_boxes` boxes whose top-confidence
-    original labels have mean pairwise relatedness below the cut; those are
-    the images where joint refinement has noise to remove.
+    An image qualifies with `MIN_BOXES..MAX_BOXES` boxes whose top-confidence
+    original labels have mean pairwise relatedness below `COHERENCE_CUT`;
+    those are the images where joint refinement has noise to remove.
     """
     rel = make_relatedness(store, hp)
     out = []
     for record in records:
-        if not min_boxes <= len(record.boxes) <= max_boxes:
+        if not MIN_BOXES <= len(record.boxes) <= MAX_BOXES:
             continue
         top = []
         for box in record.boxes:
             if box.candidates:
                 top.append(max(box.candidates, key=lambda lc: (lc[1], lc[0]))[0])
-        if image_coherence(top, rel) < coherence_cut:
+        if image_coherence(top, rel) < COHERENCE_CUT:
             out.append(record)
     return out

@@ -18,12 +18,18 @@ an order of its own, and every other step is the same float arithmetic.
 
 from __future__ import annotations
 
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .knowledge import ColocTable, EmbeddingTable
+
+# Labels whose vector and norm a `Relatedness` keeps. Worst case, each entry
+# holds a multiword label's mean vector (8 * dim bytes) and about 300 bytes
+# of key, tuple, norm and cache links: some 22 MiB for 300-d vectors.
+LABEL_CACHE = 8192
 
 
 class SrelTable:
@@ -56,11 +62,11 @@ class Relatedness:
     """srel over one store; one per run, shared by every image refined.
 
     Each label's mean embedding vector and its norm are worked out on first
-    use and kept, so state grows with the number of distinct labels, never
-    with the number of pairs. A label with no in-vocabulary token or a zero
-    vector is kept as None and has cosine 0 with everything. Entries are
-    pure functions of the immutable tables, so an image sees the same values
-    whichever images were refined before it.
+    use and kept for the `LABEL_CACHE` most recently used labels. A label
+    with no in-vocabulary token or a zero vector is kept as None and has
+    cosine 0 with everything. Entries are pure functions of the immutable
+    tables, so an image sees the same values whichever images were refined
+    before it, and whatever the cache evicted.
     """
 
     def __init__(self, emb: EmbeddingTable, coloc_table: ColocTable, delta: float = 0.5):
@@ -69,19 +75,9 @@ class Relatedness:
         self.delta = delta
         self.emb = emb
         self.coloc_table = coloc_table
-        self._vectors: dict[str, tuple[np.ndarray, float] | None] = {}
-
-    def _vector(self, label: str) -> tuple[np.ndarray, float] | None:
-        if label in self._vectors:
-            return self._vectors[label]
-        entry = None
-        vec = self.emb.label_vector(label)
-        if vec is not None:
-            norm = float(np.linalg.norm(vec))
-            if norm != 0.0:
-                entry = (vec, norm)
-        self._vectors[label] = entry
-        return entry
+        # over the table, not a bound method: a cache holding `self` would
+        # make a cycle that keeps the whole store alive until the cyclic GC
+        self._vector = lru_cache(maxsize=LABEL_CACHE)(partial(_entry, emb))
 
     def srel(self, a: str, b: str) -> float:
         cos = 0.0
@@ -138,6 +134,16 @@ class Relatedness:
         return SrelTable(row_at, col_at, values)
 
 
+def _entry(emb: EmbeddingTable, label: str) -> tuple[np.ndarray, float] | None:
+    """A label's mean vector and its norm; None for no vector or a zero one."""
+    vec = emb.label_vector(label)
+    if vec is not None:
+        norm = float(np.linalg.norm(vec))
+        if norm != 0.0:
+            return vec, norm
+    return None
+
+
 def image_coherence(top_labels: list[str], rel: Relatedness) -> float:
     """Mean pairwise srel over a set of per-box top labels.
 
@@ -147,10 +153,11 @@ def image_coherence(top_labels: list[str], rel: Relatedness) -> float:
     """
     if len(top_labels) < 2:
         return 1.0
+    srel = rel.table(top_labels, top_labels)
     total = 0.0
     pairs = 0
     for i in range(len(top_labels)):
         for j in range(i + 1, len(top_labels)):
-            total += rel.srel(top_labels[i], top_labels[j])
+            total += srel(top_labels[i], top_labels[j])
             pairs += 1
     return total / pairs

@@ -7,9 +7,9 @@ Two families:
 * gconf -- how strongly a hypernym generalizes the box's visual labels,
   summed semantic relatedness to its children present in the box.
 
-Abstract candidates are scored in `candidates.rank_abstract`: a visual
-label supports a phrase with the phrase's strongest assertion weight (cnet)
-times their semantic relatedness.
+Abstract candidates are scored in `candidates.rank_abstract`: a phrase's
+aconf is its strongest assertion weight (cnet) times its semantic
+relatedness to the visual label it is most related to.
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ class Hyperparameters:
 
     `budget` of None disables the joint label budget; the pipeline then
     truncates output to 5 labels by marginal contribution instead.
-    `visir_star` swaps the joint budget for a cap on visual labels at 80%
-    of the input boxes.
+    `visir_star` adds, next to the joint budget, a cap on visual labels at
+    80% of the input boxes.
     """
 
     alpha: float = 1.0

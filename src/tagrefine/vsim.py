@@ -250,20 +250,14 @@ def write_vsim_tsv(table: VsimTable, path) -> None:
 
 def read_vsim_tsv(path) -> VsimTable:
     """Read `label1<TAB>label2<TAB>score` rows; any bad or duplicate row is a LoadError."""
-    scores: dict[tuple[str, str], float] = {}
+    table = VsimTable()
     for lineno, line in data_lines(path):
         a_s, b_s, score_s = tsv_fields(path, lineno, line, 3)
         try:
             a, b = canon_label(a_s), canon_label(b_s)
-            score = float(score_s)
+            if b in table.neighbors(a):
+                raise ValueError(f"duplicate pair {_pair(a, b)!r}")
+            table._put(a, b, float(score_s))  # rejects a self-pair or a score outside [0, 1]
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc
-        if a == b:
-            raise LoadError(path, f"self-pair {a!r}", lineno)
-        if not (0.0 <= score <= 1.0):
-            raise LoadError(path, f"score {score!r} outside [0, 1]", lineno)
-        key = _pair(a, b)
-        if key in scores:
-            raise LoadError(path, f"duplicate pair {key!r}", lineno)
-        scores[key] = score
-    return VsimTable(scores)
+    return table

@@ -54,14 +54,20 @@ class TestExpandHypernyms:
     parents = {"ant": ("insect",), "bee": ("insect",), "dog": ("canine",)}
 
     def test_ant_generalizes_to_insect(self):
-        assert expand_hypernyms({"ant"}, self.parents) == {"insect": ("ant",)}
+        assert expand_hypernyms({"ant"}, self.parents) == ["insect"]
 
     def test_empty_input(self):
-        assert expand_hypernyms(set(), self.parents) == {}
+        assert expand_hypernyms(set(), self.parents) == []
 
-    def test_shared_parent_records_both_children(self):
-        out = expand_hypernyms({"ant", "bee"}, self.parents)
-        assert out == {"insect": ("ant", "bee")}
+    def test_shared_parent_listed_once(self):
+        assert expand_hypernyms({"ant", "bee"}, self.parents) == ["insect"]
+
+    def test_parents_sorted(self):
+        assert expand_hypernyms(["dog", "ant"], self.parents) == ["canine", "insect"]
+
+    def test_parent_among_the_labels_left_out(self):
+        # already an original or similar candidate of the box
+        assert expand_hypernyms(["ant", "insect", "dog"], self.parents) == ["canine"]
 
 
 class TestGenerateAbstract:
@@ -69,7 +75,7 @@ class TestGenerateAbstract:
         assertions = [("accordion", "usedFor", "make music", 2.0)]
         out = generate_abstract({"accordion"}, by_subject(tmp_path, assertions), 10, FLAT_SREL)
         assert [c.label for c in out] == ["make music"]
-        assert out[0].supports == (("accordion", 1.0),)
+        assert out[0].aconf == 1.0
 
     def test_has_property_creates_candidate(self, tmp_path):
         assertions = [("snake", "hasProperty", "poisonous", 9.0)]
@@ -100,7 +106,7 @@ class TestGenerateAbstract:
         ]
         out = generate_abstract({"x"}, by_subject(tmp_path, assertions), 5, FLAT_SREL)
         assert out[0].cnet == 4.0
-        assert out[0].supports == (("x", 2.0),)
+        assert out[0].aconf == 2.0
 
     def test_collision_with_visual_label_skipped(self, tmp_path):
         assertions = [("x", "usedFor", "y", 1.0)]
@@ -115,12 +121,19 @@ class TestGenerateAbstract:
         out = generate_abstract({"a", "b"}, by_subject(tmp_path, assertions), 5, FLAT_SREL)
         # zz: cnet 6 -> max aconf 3.0; yy: cnet 5 -> 2.5
         assert [c.label for c in out] == ["zz", "yy"]
-        assert out[0].supports == (("a", 3.0), ("b", 3.0))
+        assert out[0].aconf == 3.0
+
+    def test_aconf_is_the_best_support(self, tmp_path):
+        assertions = [("a", "usedFor", "zz", 2.0), ("b", "usedFor", "zz", 6.0)]
+        srel = lambda subject, obj: {"a": 0.25, "b": 0.5}[subject]
+        [cand] = generate_abstract({"a", "b"}, by_subject(tmp_path, assertions), 5, srel)
+        assert cand.cnet == 6.0
+        assert cand.aconf == 3.0  # b: 6 * 0.5 beats a: 6 * 0.25
 
     def test_zero_relatedness_gives_zero_support(self, tmp_path):
         assertions = [("snake", "hasProperty", "poisonous", 9.0)]
         out = generate_abstract({"snake"}, by_subject(tmp_path, assertions), 10, lambda a, b: 0.0)
-        assert out[0].supports == (("snake", 0.0),)
+        assert out[0].aconf == 0.0
 
 
 class TestGenerate:

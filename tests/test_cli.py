@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +24,7 @@ def knowledge_args(fixtures_dir, tmp_path):
 
 
 def read_jsonl(path):
-    return [json.loads(line) for line in open(path, encoding="utf-8")]
+    return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
 def detection_line(image="i1", box="b1", labels=("snake",)):
@@ -306,6 +307,21 @@ class TestRefine:
                    "--select-incoherent", *knowledge_args])
         assert rc == 0
         assert [r["image"] for r in read_jsonl(out)] == ["messy"]
+
+    @pytest.mark.parametrize("n_boxes, kept", [(7, True), (8, False)])
+    def test_select_incoherent_box_window_top(self, tmp_path, knowledge_args, n_boxes, kept):
+        # labels with no vector and no co-location: every pair's srel is 0
+        labels = ["anvil", "compass", "crate", "kettle", "ladder", "lantern", "saddle",
+                  "trumpet"][:n_boxes]
+        boxes = [{"id": f"b{i}", "candidates": [{"label": label, "conf": 0.9}]}
+                 for i, label in enumerate(labels)]
+        detections = tmp_path / "det.jsonl"
+        detections.write_text(json.dumps({"image": "unrelated", "boxes": boxes}) + "\n")
+        out = tmp_path / "refined.jsonl"
+        rc = main(["refine", "--detections", str(detections), "--out", str(out),
+                   "--select-incoherent", *knowledge_args])
+        assert rc == 0
+        assert [r["image"] for r in read_jsonl(out)] == (["unrelated"] if kept else [])
 
     def test_dump_lp(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "refined.jsonl"

@@ -82,10 +82,10 @@ class TestLoadEmbeddings:
             load_embeddings(path)
         assert ":2" in str(err.value)
 
-    def test_duplicate_token_last_wins(self, tmp_path):
+    def test_duplicate_token_last_wins(self, tmp_path, caplog):
         path = write(tmp_path, "emb.txt", "cat 1 0\ncat 0 1\n")
         table = load_embeddings(path)
-        assert table.duplicates == 1
+        assert "1 duplicate embedding tokens (last wins)" in caplog.text
         assert np.allclose(table.vectors["cat"], [0, 1])
 
     def test_comments_and_blanks_skipped(self, tmp_path):

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from tagrefine.errors import ConfigError
 from tagrefine.knowledge import ColocTable, EmbeddingTable
+from tagrefine import relatedness
 from tagrefine.relatedness import Relatedness, image_coherence
 
 
@@ -205,8 +208,41 @@ class TestPerLabelState:
         for a, b in itertools.combinations(labels, 2):
             rel.srel(a, b)
         held = [value for value in vars(rel).values() if hasattr(value, "__len__")]
-        assert held  # the label entries at least
+        assert held  # the embedding table at least
         assert all(len(value) <= 60 for value in held)
+        # the label entries: one miss per distinct label, never evicted
+        info = rel._vector.cache_info()
+        assert info.misses == info.currsize == 60
+
+    def test_novel_labels_keep_the_cache_at_its_bound(self, monkeypatch):
+        monkeypatch.setattr(relatedness, "LABEL_CACHE", 4)
+        rng = np.random.default_rng(2)
+        words = [f"w{i}" for i in range(6)]
+        table = EmbeddingTable(dim=3, vectors={w: rng.normal(size=3) for w in words})
+        cl = ColocTable({(words[i], words[i + 1]): i + 1 for i in range(5)})
+        rel = Relatedness(table, cl, delta=0.5)
+        # every pair asks for a label the cache has not seen, so it keeps evicting
+        stream = [(w, f"{w} novel{i}") for i, w in enumerate(words * 5)]
+        for a, b in stream + stream[:3]:
+            assert rel.srel(a, b) == ref_srel(a, b, 0.5, table, cl)
+            assert rel._vector.cache_info().currsize <= 4
+        assert rel._vector.cache_info().currsize == 4
+
+    def test_store_freed_without_the_cyclic_gc(self):
+        table = emb(a=[1.0, 0.0], b=[0.6, 0.8])
+        rel = Relatedness(table, ColocTable())
+        rel.srel("a", "b")
+        rel.table(["a", "b"], ["b"])
+        alive = weakref.ref(table)
+        del table
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del rel  # reference counting alone must free the label cache and the table
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_threads_filling_one_instance_agree_with_reference(self):
         rng = np.random.default_rng(1)

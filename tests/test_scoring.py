@@ -91,9 +91,8 @@ def aconf(label, assertion, srel):
     """
     subject, _, obj, score = assertion
     [candidate] = rank_abstract(asserted_objects({label}, {subject: {obj: score}}), 10, srel)
-    [(subject, support)] = candidate.supports
-    assert subject == label
-    return support
+    assert candidate.label == obj
+    return candidate.aconf
 
 
 class TestAconf:

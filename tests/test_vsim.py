@@ -203,6 +203,22 @@ class TestSerialization:
         with pytest.raises(LoadError):
             read_vsim_tsv(path)
 
+    @pytest.mark.parametrize("row, message", [
+        ("b\ta\t0.5", "duplicate pair ('a', 'b')"),  # the first row's pair, either order
+        ("a\tb\t0.5", "duplicate pair ('a', 'b')"),
+        ("c\tc\t0.5", "self-pair 'c'"),
+        ("a\tc\t-0.1", "outside [0, 1]"),
+        ("a\tc\tnan", "outside [0, 1]"),
+        ("a\tc\thigh", "could not convert"),
+    ])
+    def test_read_rejects_bad_row_naming_its_line(self, tmp_path, row, message):
+        path = tmp_path / "vsim.tsv"
+        path.write_text(f"a\tb\t0.25\n{row}\n")
+        with pytest.raises(LoadError) as err:
+            read_vsim_tsv(path)
+        assert err.value.line == 2
+        assert message in str(err.value)
+
     def test_corpus_reader_skips_bad_lines(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         good = {"image": "i1", "boxes": [{"id": "b", "candidates": [{"label": "a", "conf": 0.5}]}]}
