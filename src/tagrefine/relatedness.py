@@ -10,8 +10,9 @@ labels never occur in co-location data; their pairs simply get a zero
 co-location term at full `1 - delta` weight lost, not renormalized.
 
 Two paths compute it. `Relatedness.srel` scores one pair with one dot
-product. `Relatedness.table` scores every pair of a rows x cols block with
-one matrix product; refinement builds one such table per image. The two
+product; it is the reference that tests check tables against.
+`Relatedness.table` scores every pair of a rows x cols block with one
+matrix product; the program reads srel only from such tables. The two
 agree to the last bit or two: the matrix product sums each dot product in
 an order of its own, and every other step is the same float arithmetic.
 """
