@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .errors import ConfigError
 from .knowledge import KnowledgeStore
 from .labels import Origin
-from .relatedness import Relatedness
+from .relatedness import Relatedness, SrelGeometry
 from .scoring import Hyperparameters, SrelFn, gconf, vconf
 from .vsim import BoundingBox, DetectionRecord, VsimTable, similar_set
 
@@ -93,11 +93,49 @@ def rank_abstract(
     return out[:cap]
 
 
+@dataclass
+class ImageLabels:
+    """What `generate` builds for one image and `tau_s` that no weight changes."""
+    # per box: its id, its original and similar candidates (with vconf), and
+    # its hypernym labels
+    boxes: list[tuple[str, list[VisualCandidate], list[str]]]
+    supporting: dict[str, dict[str, float]]  # `asserted_objects` of the visual labels
+    geometry: SrelGeometry | None  # srel before the blend, given a `Relatedness`
+
+
+def image_labels(
+    record: DetectionRecord, store: KnowledgeStore, tau_s: float, srel: Relatedness | SrelFn
+) -> ImageLabels:
+    """Each box's original, similar and hypernym labels at `tau_s`, the
+    phrases asserted about them and, given a `Relatedness`, the geometry of
+    the visual labels x (the visual labels + those phrases)."""
+    boxes = []
+    visual: dict[str, None] = {}
+    for box in record.boxes:
+        original = list(box.labels())
+        similar = sorted(expand_similar(box, store.vsim, tau_s))
+        hyper = expand_hypernyms(original + similar, store.parents)
+        fixed = [VisualCandidate(label=label, origin=Origin.ORIGINAL,
+                                 vconf=vconf(box, label, store.vsim)) for label in original]
+        fixed += [VisualCandidate(label=label, origin=Origin.SIMILAR,
+                                  vconf=vconf(box, label, store.vsim)) for label in similar]
+        boxes.append((box.box_id, fixed, hyper))
+        # in box order, so the srel table, and every value read from it, is
+        # the same in every process
+        visual.update(dict.fromkeys([*original, *similar, *hyper]))
+    # every asserted phrase, before the cap: the best supports decide the ranking
+    supporting = asserted_objects(visual, store.by_subject)
+    geometry = srel.geometry(list(visual), [*visual, *sorted(supporting)]) \
+        if isinstance(srel, Relatedness) else None
+    return ImageLabels(boxes, supporting, geometry)
+
+
 def generate(
     record: DetectionRecord,
     store: KnowledgeStore,
     hp: Hyperparameters,
     srel: Relatedness | SrelFn,
+    memo: dict[float, ImageLabels] | None = None,
 ) -> CandidateSets:
     """Build the full candidate space for one image.
 
@@ -105,50 +143,34 @@ def generate(
     (original > similar > hypernym) and appears once per box. Given a
     `Relatedness`, srel is computed once for the image, as one table of
     the visual labels x (the visual labels + every phrase asserted about
-    them); given a plain function, that function is called per pair.
-    """
-    boxes = []
-    for box in record.boxes:
-        original = list(box.labels())
-        similar = sorted(expand_similar(box, store.vsim, hp.tau_s))
-        hyper = expand_hypernyms(original + similar, store.parents)
-        boxes.append((box, original, similar, hyper))
+    them), blended at `hp.delta`; given a plain function, that function is
+    called per pair.
 
-    # in box order, so the table, and every value read from it, is the
-    # same in every process
-    visual = list(dict.fromkeys(label for _, original, similar, hyper in boxes
-                                for label in (*original, *similar, *hyper)))
-    # every asserted phrase, before the cap: the best supports decide the ranking
-    supporting = asserted_objects(visual, store.by_subject)
-    srel_fn = srel.table(visual, visual + sorted(supporting)) \
-        if isinstance(srel, Relatedness) else srel
+    `memo`, one dict per image kept across calls that differ only in
+    weights, keeps the image's `ImageLabels` per `tau_s`, so that later
+    calls run only the blend, gconf and the abstract ranking.
+    """
+    labels = None if memo is None else memo.get(hp.tau_s)
+    if labels is None:
+        labels = image_labels(record, store, hp.tau_s, srel)
+        if memo is not None:
+            memo[hp.tau_s] = labels
+    srel_fn = srel if labels.geometry is None else labels.geometry.blend(hp.delta)
 
     per_box: dict[str, list[VisualCandidate]] = {}
-    for box, original, similar, hyper in boxes:
-        cands: list[VisualCandidate] = []
-        for label in original:
-            cands.append(
-                VisualCandidate(label=label, origin=Origin.ORIGINAL,
-                                vconf=vconf(box, label, store.vsim))
-            )
-        for label in similar:
-            cands.append(
-                VisualCandidate(label=label, origin=Origin.SIMILAR,
-                                vconf=vconf(box, label, store.vsim))
-            )
+    for box_id, fixed, hyper in labels.boxes:
         # ordered, not a set: gconf sums over it, and set order follows the
         # string hash seed, which would change the last bits between runs
-        box_visual = original + similar
-        for label in hyper:
-            cands.append(
-                VisualCandidate(label=label, origin=Origin.HYPERNYM,
-                                gconf=gconf(box_visual, label, store.parents, srel_fn))
-            )
-        per_box[box.box_id] = cands
+        box_visual = [c.label for c in fixed]
+        per_box[box_id] = fixed + [
+            VisualCandidate(label=label, origin=Origin.HYPERNYM,
+                            gconf=gconf(box_visual, label, store.parents, srel_fn))
+            for label in hyper
+        ]
 
     return CandidateSets(
         box_ids=tuple(box.box_id for box in record.boxes),
         per_box=per_box,
-        abstract=rank_abstract(supporting, hp.abstract_cap, srel_fn),
+        abstract=rank_abstract(labels.supporting, hp.abstract_cap, srel_fn),
         srel=srel_fn,
     )

@@ -218,7 +218,11 @@ def tune(
     mean F1 against that image's gold labels (ground truth plus hypernyms,
     all treated as conservatively good; abstract output is ignored since the
     gold annotations cannot contain it). Ties resolve to the earliest trial.
-    Trials only read the shared immutable store, so they are independent.
+    Trials only read the shared immutable store, so they are independent:
+    each image is refined under every trial in turn, and what no weight
+    changes (its labels, vconf and srel geometry) is built once per image
+    and `tau_s`. Each trial still sums its F1 over the images in input
+    order.
     """
     from .pipeline import make_relatedness, refine_record
 
@@ -229,19 +233,20 @@ def tune(
 
     expanded = [(record, expand_gold(gold, store.parents)) for record, gold in train_set]
     rng = random.Random(seed)
-    results: list[TrialResult] = []
-    for trial in range(trials):
-        params = sample_params(rng, space)
-        hp = replace(base_hp, **params)
-        rel = make_relatedness(store, hp)  # the trial's images share one delta
-        f_sum = 0.0
-        for record, gold in expanded:
-            refined, _ = refine_record(record, store, hp, rel=rel)
+    params = [sample_params(rng, space) for _ in range(trials)]
+    # every vector is checked before any image is refined
+    hps = [replace(base_hp, **p) for p in params]
+    rel = make_relatedness(store, base_hp)  # one label cache; trials blend at their own delta
+    f_sums = [0.0] * trials
+    for record, gold in expanded:
+        memo: dict = {}  # what no trial weight changes, for this image only
+        for t, hp in enumerate(hps):
+            refined, _ = refine_record(record, store, hp, rel=rel, memo=memo)
             labels = {r.label for r in refined if r.space in (Space.CL, Space.XL)}
             p = precision(labels, gold)
             r = recall(labels, gold)
-            f_sum += f1(p, r)
-        score = f_sum / len(expanded)
-        results.append(TrialResult(trial=trial, params=params, score=score))
+            f_sums[t] += f1(p, r)
+    results = [TrialResult(trial=t, params=p, score=f_sum / len(expanded))
+               for t, (p, f_sum) in enumerate(zip(params, f_sums))]
     best = max(results, key=lambda r: (r.score, -r.trial))
     return replace(base_hp, **best.params), results

@@ -18,20 +18,25 @@ The instance holds its coefficients as dense per-box arrays, zero-padded to
 the widest box: the unaries, and per box its Z rows against every later box
 and its W rows against every abstract candidate. `build_instance` reads them
 as blocks of the image's srel table, and the instance's `z` and `w` list the
-nonzero terms by variable, for the LP dump. `solve_exact` searches the
-arrays as they are and carries its state down the search: the unary + Z
-value of the boxes decided so far, what each candidate of every later box
-would add to it, and the running gain of every abstract candidate. A node is
-cut when its budget-aware bound -- the best split of the labels still
-allowed between the remaining boxes and the capped abstract subset -- falls
-below the incumbent. When v more boxes are labelled, a box can add at most
-its carried value plus half its v - 1 best partners among the remaining
-boxes (each pair is shared by its two ends), and an abstract candidate at
-most its current gain plus its best W on v of the remaining boxes. At a leaf
-the bound is the carried objective itself, so only leaves that could still
-be best pay for the canonical `objective_value` and the tie-break key. (This
-is MAP inference with a cardinality constraint, solved by depth-first branch
-and bound; see Marinescu & Dechter, AIJ 2009.)
+nonzero terms by variable, for the LP dump. `solve_exact` gives each box's
+arrays one more zero row, its "no label" child, and carries its state down
+the search: the unary + Z value of the boxes decided so far, what each
+candidate of every later box would add to it, and the running gain of every
+abstract candidate. A node bounds all its children -- each candidate of its
+box, then "no label" -- in one vectorized call, and cuts a child when its
+budget-aware bound -- the best split of the labels still allowed between the
+remaining boxes and the capped abstract subset -- falls below the incumbent.
+Each child is compared just before it is entered, since the incumbent
+improves between siblings. When v more boxes are labelled, a box can add at
+most its carried value plus half its v - 1 best partners among the
+remaining boxes (each pair is shared by its two ends), and an abstract
+candidate at most its current gain plus its best W on v of the remaining
+boxes. At a leaf the bound is the carried objective itself, so only leaves
+that could still be best pay for the canonical `objective_value` and the
+tie-break key; both reuse the carried abstract gains, which are the same
+sums in the same order. (This is MAP inference with a cardinality
+constraint, solved by depth-first branch and bound; see Marinescu &
+Dechter, AIJ 2009.)
 
 Ties are broken by preferring the lexicographically smallest chosen-label
 multiset, then fewer labels, then labeling earlier boxes. `brute_force`
@@ -167,13 +172,15 @@ def _srel_block(srel_fn: SrelFn, rows: Sequence[str], cols: Sequence[str]) -> np
 # --- objective and ordering ----------------------------------------------------
 
 def objective_value(
-    inst: IlpInstance, choice: Sequence[int | None], abstract: Iterable[int]
+    inst: IlpInstance, choice: Sequence[int | None], abstract: Iterable[int],
+    gains: np.ndarray | None = None,
 ) -> float:
     """Canonical objective of a complete assignment.
 
     Terms are summed in one fixed order (unaries, cross-box pairs, then
     per-abstract gains) so equivalent assignments get bit-identical values
-    regardless of which solver produced them.
+    regardless of which solver produced them. `gains`, when given, must be
+    `_abstract_gains(inst, choice)`.
     """
     chosen = [(i, j) for i, j in enumerate(choice) if j is not None]
     val = 0.0
@@ -182,7 +189,8 @@ def objective_value(
     for p, (i, j) in enumerate(chosen):
         for m, k in chosen[p + 1:]:
             val += inst.zrows[i][j, m - i - 1, k]
-    gains = _abstract_gains(inst, choice)
+    if gains is None:
+        gains = _abstract_gains(inst, choice)
     for k in sorted(abstract):
         val += gains[k]
     return float(val)
@@ -223,18 +231,22 @@ def _abstract_allowance(inst: IlpInstance, n_vis: int) -> int:
     return max(allowance, 0)
 
 
-def _best_abstract(inst: IlpInstance, choice: Sequence[int | None], allowance: int) -> tuple[int, ...]:
+def _best_abstract(inst: IlpInstance, choice: Sequence[int | None], allowance: int,
+                   gains: np.ndarray | None = None) -> tuple[int, ...]:
     """Exact abstract completion for a fixed visual choice, tie-break aware.
 
     All gains are nonnegative, so the value-optimal subsets are: every
     candidate above the allowance cutoff, a lexicographic choice among
     cutoff ties, and optionally zero-gain candidates in leftover slots.
     A zero-gain label improves the tie-break multiset exactly when it sorts
-    below the largest label already chosen.
+    below the largest label already chosen. `gains`, when given, must be
+    `_abstract_gains(inst, choice)`.
     """
     if allowance <= 0 or inst.n_abstract == 0:
         return ()
-    gains = [(g, k) for k, g in enumerate(_abstract_gains(inst, choice).tolist())]
+    if gains is None:
+        gains = _abstract_gains(inst, choice)
+    gains = [(g, k) for k, g in enumerate(gains.tolist())]
     positives = sorted(
         ((g, inst.abstract_labels[k], k) for g, k in gains if g > 0.0),
         key=lambda t: (-t[0], t[1]),
@@ -268,8 +280,18 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     """
     n, n_abs = inst.n_boxes, inst.n_abstract
     sizes = [len(labels) for labels in inst.box_labels]
-    unary, zrows, wrows = inst.unary, inst.zrows, inst.wrows
-    width = unary.shape[1]
+    width = inst.unary.shape[1] + 1
+
+    # one more zero row per box for its "no label" child, at index sizes[i],
+    # and one more zero column so that index exists in every box's deltas;
+    # adding these zeros leaves every carried value bit-identical
+    unary = np.zeros((n, width))
+    unary[:, :-1] = inst.unary
+    zrows = [np.zeros((sizes[i] + 1, n - i - 1, width)) for i in range(n)]
+    wrows = [np.zeros((sizes[i] + 1, n_abs)) for i in range(n)]
+    for i in range(n):
+        zrows[i][:-1, :, :-1] = inst.zrows[i]
+        wrows[i][:-1] = inst.wrows[i]
 
     max_abs = min(inst.max_abstract, n_abs)
     no_limit = n + max_abs
@@ -280,30 +302,31 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     partner = np.zeros((n, width, n))
     for i in range(n):
         for m in range(i + 1, n):
-            pair = zrows[i][:, m - i - 1, : sizes[m]]
+            pair = zrows[i][: sizes[i], m - i - 1, : sizes[m]]
             partner[i, : sizes[i], m] = pair.max(axis=1, initial=0.0)
             partner[m, : sizes[m], i] = pair.max(axis=0, initial=0.0)
-    # zshare[i][v - 1, m - i, j]: half the v - 1 best partners of candidate j
-    # of box m among the other boxes i..n-1. When v of those boxes are
+    # Tables per depth i, over the boxes i..n-1. A box before i counts as 0
+    # in every sort: the sums below take at most the n - i largest values,
+    # and every value is >= 0, so they come out the same.
+    after = np.arange(n) >= np.arange(n + 1)[:, None]  # after[i, p]: box p is not before i
+    # zshare[i, v - 1, m, j]: half the v - 1 best partners of candidate j of
+    # box m among the other boxes i..n-1. When v of those boxes are
     # labelled, each pair between them is shared by its two ends.
-    zshare = []
-    for i in range(n + 1):
-        most = max(min(n - i, budget, visual_cap) - 1, 0)
-        among = -np.sort(-partner[i:, :, i:], axis=2)[:, :, :most]
-        zshare.append(0.5 * np.concatenate(
-            [np.zeros((1, n - i, width)), np.cumsum(among, axis=2).transpose(2, 0, 1)]))
-    # wtop[i][v, k]: the most v of the boxes i..n-1 can add to abstract gain k
+    most = max(min(n, budget, visual_cap) - 1, 0)
+    among = -np.sort(-np.where(after[:, None, None], partner, 0.0), axis=3)[..., :most]
+    zshare = np.zeros((n + 1, most + 1, n, width))
+    zshare[:, 1:] = 0.5 * np.cumsum(among, axis=3).transpose(0, 3, 1, 2)
+    # wtop[i, v, k]: the most v of the boxes i..n-1 can add to abstract gain k
     wmax = np.array([w.max(axis=0, initial=0.0) for w in wrows]).reshape(n, n_abs)
-    wtop = []
-    for i in range(n + 1):
-        best_first = -np.sort(-wmax[i:], axis=0)
-        wtop.append(np.vstack([np.zeros(n_abs), np.cumsum(best_first, axis=0)]))
+    wtop = np.zeros((n + 1, n + 1, n_abs))
+    wtop[:, 1:] = np.cumsum(-np.sort(-np.where(after[:, :, None], wmax, 0.0), axis=1), axis=1)
 
-    # candidate order per box: strongest static potential first (search speed
-    # only; the final answer is the key-minimal assignment regardless)
+    # children per box: candidates by strongest static potential first
+    # (search speed only; the final answer is the key-minimal assignment
+    # regardless), then "no label"
     zpot = partner.sum(axis=2)
     order = [
-        sorted(range(sizes[i]), key=lambda j: (-(unary[i, j] + zpot[i, j]), j))
+        sorted(range(sizes[i]), key=lambda j: (-(unary[i, j] + zpot[i, j]), j)) + [sizes[i]]
         for i in range(n)
     ]
 
@@ -313,26 +336,42 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     best_abstract: tuple[int, ...] = ()
     choice: list[int | None] = [None] * n
 
-    def bound(i: int, value: float, n_vis: int, gains, deltas) -> float:
-        """Admissible: the best split of the slots left between at most
-        `n_box` remaining boxes and at most `max_abs` abstract candidates."""
+    # take[s, v]: how many abstract candidates fit in s slots beside v boxes
+    take = np.clip(np.arange(budget + 1)[:, None] - np.arange(n + 1), 0, max_abs)
+
+    def bounds(i: int, values, n_vis: int, gains, deltas) -> np.ndarray:
+        """Admissible, per child of box i - 1 (row c of each argument is
+        child c): the best split of the slots left between at most `n_box`
+        remaining boxes and at most `max_abs` abstract candidates.
+
+        The last row is the "no label" child, with `n_vis` labels; any
+        rows before it took a label, so they have one slot less."""
         slots = budget - n_vis
         n_box = max(min(n - i, slots, visual_cap - n_vis), 0)
-        split = np.zeros(n_box + 1)
+        split = np.zeros((len(values), n_box + 1))
         if n_box:
-            pots = np.sort((deltas + zshare[i][:n_box]).max(axis=2), axis=1)[:, ::-1]
-            split[1:] = np.cumsum(pots[:, :n_box], axis=1).diagonal()
+            pots = np.sort((deltas[:, None] + zshare[i, :n_box, i:]).max(axis=3),
+                           axis=2)[:, :, ::-1]
+            split[:, 1:] = np.cumsum(pots[:, :, :n_box], axis=2).diagonal(axis1=1, axis2=2)
         if max_abs:
-            pots = np.sort(gains + wtop[i][: n_box + 1], axis=1)[:, ::-1]
-            abs_top = np.cumsum(pots[:, :max_abs], axis=1)
-            take = np.minimum(max_abs, slots - np.arange(n_box + 1))
-            split += np.where(take > 0, abs_top[np.arange(n_box + 1), take - 1], 0.0)
-        return value + float(split.max())
+            # abs_top[c, v, t]: the t best abstract gains of child c beside v boxes
+            pots = np.sort(gains[:, None] + wtop[i, : n_box + 1], axis=2)[:, :, ::-1]
+            abs_top = np.zeros((len(values), n_box + 1, max_abs + 1))
+            np.cumsum(pots[:, :, :max_abs], axis=2, out=abs_top[:, :, 1:])
+            v = np.arange(n_box + 1)
+            split[-1] += abs_top[-1, v, take[slots, : n_box + 1]]
+            if len(values) > 1:
+                split[:-1] += abs_top[:-1, v, take[slots - 1, : n_box + 1]]
+        if len(values) > 1 and max(min(n - i, slots - 1, visual_cap - n_vis - 1), 0) < n_box:
+            # the slots or the cap leave the labelled children one box fewer
+            split[:-1, n_box] = -np.inf
+        return values + split.max(axis=1)
 
-    def leaf(n_vis: int) -> None:
+    def leaf(n_vis: int, gains) -> None:
         nonlocal best_key, best_obj, best_choice, best_abstract
-        abstract = _best_abstract(inst, choice, _abstract_allowance(inst, n_vis))
-        obj = objective_value(inst, choice, abstract)
+        # the carried gains are `_abstract_gains` summed in the same order
+        abstract = _best_abstract(inst, choice, _abstract_allowance(inst, n_vis), gains)
+        obj = objective_value(inst, choice, abstract, gains)
         key = _assignment_key(inst, choice, abstract, obj)
         if best_key is None or key < best_key:
             best_key = key
@@ -342,21 +381,30 @@ def solve_exact(inst: IlpInstance) -> Assignment:
 
     def dfs(i: int, value: float, n_vis: int, gains, deltas) -> None:
         """`deltas[m - i, j]`: what candidate j of box m adds with the
-        boxes decided so far (its unary plus its Z to their choices)."""
-        # at a leaf the bound is the carried objective itself, up to rounding
-        if bound(i, value, n_vis, gains, deltas) < best_obj - _PRUNE_EPS:
-            return
+        boxes decided so far (its unary plus its Z to their choices).
+
+        Bounds every child of box i in one call, and compares each with the
+        incumbent just before entering it, since the incumbent improves
+        between siblings. At a leaf the bound is the carried objective
+        itself, up to rounding."""
         if i == n:
-            leaf(n_vis)
+            leaf(n_vis, gains)
             return
-        here, later = deltas[0].tolist(), deltas[1:]
-        if n_vis < budget and n_vis < visual_cap:
-            for j in order[i]:
-                choice[i] = j
-                dfs(i + 1, value + here[j], n_vis + 1, gains + wrows[i][j],
-                    later + zrows[i][j])
-            choice[i] = None
-        dfs(i + 1, value, n_vis, gains, later)
+        none = sizes[i]
+        # once the budget or the visual cap is reached, "no label" is the only child
+        first = 0 if n_vis < budget and n_vis < visual_cap else none
+        rows = slice(first, none + 1)
+        values = value + deltas[0, rows]
+        kid_gains = gains + wrows[i][rows]
+        kid_deltas = deltas[1:] + zrows[i][rows]
+        kid_bounds = bounds(i + 1, values, n_vis, kid_gains, kid_deltas).tolist()
+        for j in order[i] if first == 0 else (none,):
+            c = j - first
+            if kid_bounds[c] < best_obj - _PRUNE_EPS:
+                continue
+            choice[i] = None if j == none else j
+            dfs(i + 1, values[c], n_vis + (j != none), kid_gains[c], kid_deltas[c])
+        choice[i] = None
 
     dfs(0, 0.0, 0, np.zeros(n_abs), unary)
     return Assignment(best_choice, best_abstract, best_obj)

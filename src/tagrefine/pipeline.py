@@ -32,7 +32,9 @@ COHERENCE_CUT = 0.1
 
 
 def make_relatedness(store: KnowledgeStore, hp: Hyperparameters) -> Relatedness:
-    """srel for `hp.delta`; share one across all images refined with that delta."""
+    """srel over `store` for `hp.delta`; share one across all images refined
+    from that store, since `generate` blends each image's srel at its own
+    `hp.delta`."""
     return Relatedness(store.embeddings, store.coloc, delta=hp.delta)
 
 
@@ -42,13 +44,17 @@ def refine_record(
     hp: Hyperparameters,
     rel: Relatedness | None = None,
     lp_dir: str | None = None,
+    memo: dict | None = None,
 ) -> tuple[list[RefinedLabel], float]:
-    """Refine one image: candidates, exact selection, label extraction."""
+    """Refine one image: candidates, exact selection, label extraction.
+
+    `memo` is `generate`'s: one dict per image, kept across calls that
+    differ only in weights."""
     if rel is None:
         rel = make_relatedness(store, hp)
     # handed the `Relatedness` itself, generate computes the image's srel as
     # one table, and the instance reads the same table
-    cands = generate(record, store, hp, rel)
+    cands = generate(record, store, hp, rel, memo=memo)
     inst = build_instance(cands, hp, cands.srel)
     if lp_dir is not None:
         # percent-encoding is one-to-one, so distinct ids never share a file

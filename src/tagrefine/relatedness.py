@@ -12,9 +12,12 @@ co-location term at full `1 - delta` weight lost, not renormalized.
 Two paths compute it. `Relatedness.srel` scores one pair with one dot
 product; it is the reference that tests check tables against.
 `Relatedness.table` scores every pair of a rows x cols block with one
-matrix product; the program reads srel only from such tables. The two
-agree to the last bit or two: the matrix product sums each dot product in
-an order of its own, and every other step is the same float arithmetic.
+matrix product; the program reads srel only from such tables. A table is
+its block's `SrelGeometry` -- cosines and co-location terms, built once --
+blended at one delta, so a hyperparameter search blends each image's
+geometry again per trial instead of rebuilding it. The two paths agree to
+the last bit or two: the matrix product sums each dot product in an order
+of its own, and every other step is the same float arithmetic.
 """
 
 from __future__ import annotations
@@ -55,12 +58,15 @@ class SrelTable:
 
     def block(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
         """srel of every pair of `rows` x `cols`, as a new array."""
-        return self._values[np.ix_([self._rows[a] for a in rows],
-                                   [self._cols[b] for b in cols])]
+        at = np.array([self._rows[a] for a in rows], dtype=np.intp)
+        return self._values[at[:, None], np.array([self._cols[b] for b in cols], dtype=np.intp)]
 
 
 class Relatedness:
     """srel over one store; one per run, shared by every image refined.
+
+    Its `delta` is the blend of `srel` and `table`; `candidates.generate`
+    blends each image's `geometry` at that image's own `hp.delta`.
 
     Each label's mean embedding vector and its norm are worked out on first
     use and kept for the `LABEL_CACHE` most recently used labels. A label
@@ -99,14 +105,15 @@ class Relatedness:
         return mat, np.array([norm for _, norm in entries])
 
     def table(self, rows: Sequence[str], cols: Sequence[str]) -> SrelTable:
-        """srel for every pair of `rows` x `cols`, as `srel` computes it but
+        """srel for every pair of `rows` x `cols` at this `delta`: the
+        block's `geometry` blended."""
+        return self.geometry(rows, cols).blend(self.delta)
+
+    def geometry(self, rows: Sequence[str], cols: Sequence[str]) -> SrelGeometry:
+        """The parts of srel over `rows` x `cols` that no `delta` changes,
         with all the dot products in one matrix product.
 
-        Labels given twice keep their first place. The cosine, co-location,
-        blend and clamps are elementwise float operations in `srel`'s order,
-        so a pair whose cosine is 0 for want of a vector gets `srel`'s value
-        bit for bit. A pair of labels found in both `rows` and `cols` takes
-        one value, the one computed with the earlier row first.
+        Labels given twice keep their first place.
         """
         row_at = {label: i for i, label in enumerate(dict.fromkeys(rows))}
         col_at = {label: j for j, label in enumerate(dict.fromkeys(cols))}
@@ -123,16 +130,46 @@ class Relatedness:
                     j = col_at.get(b)
                     if j is not None:
                         co[i, j] = n / max_count
-        values = np.minimum(1.0, np.maximum(0.0, self.delta * cos + (1.0 - self.delta) * co))
 
-        # the matrix product need not sum (a, b) and (b, a) alike; copy each
-        # such pair's value from the earlier row to the later one
+        # the matrix product need not sum (a, b) and (b, a) alike; `blend`
+        # copies each such pair's value from the earlier row to the later one
         shared = [(i, col_at[label]) for label, i in row_at.items() if label in col_at]
+        mirror = None
         if len(shared) > 1:
             r, c = np.array(shared).T
             lower, upper = np.tril_indices(len(shared), -1)
-            values[r[lower], c[upper]] = values[r[upper], c[lower]]
-        return SrelTable(row_at, col_at, values)
+            mirror = ((r[lower], c[upper]), (r[upper], c[lower]))
+        return SrelGeometry(row_at, col_at, cos, co, mirror)
+
+
+class SrelGeometry:
+    """The clamped cosines and co-location terms of a rows x cols block, and
+    the pairs it holds both ways round; `blend(delta)` makes its `SrelTable`.
+
+    The cosine, co-location, blend and clamps are elementwise float
+    operations in `Relatedness.srel`'s order, so a pair whose cosine is 0
+    for want of a vector gets `srel`'s value bit for bit. A pair of labels
+    found in both rows and cols takes one value, the one computed with the
+    earlier row first. The geometry is only read, so one image can be
+    blended at any number of deltas.
+    """
+
+    __slots__ = ("_rows", "_cols", "_cos", "_co", "_mirror")
+
+    def __init__(self, rows: dict[str, int], cols: dict[str, int], cos: np.ndarray,
+                 co: np.ndarray, mirror):
+        self._rows = rows
+        self._cols = cols
+        self._cos = cos
+        self._co = co
+        self._mirror = mirror  # (later-row cells, their earlier-row twins), or None
+
+    def blend(self, delta: float) -> SrelTable:
+        values = np.minimum(1.0, np.maximum(0.0, delta * self._cos + (1.0 - delta) * self._co))
+        if self._mirror is not None:
+            later, earlier = self._mirror
+            values[later] = values[earlier]
+        return SrelTable(self._rows, self._cols, values)
 
 
 def _entry(emb: EmbeddingTable, label: str) -> tuple[np.ndarray, float] | None:

@@ -1,9 +1,12 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from tagrefine import pipeline
 from tagrefine.cli import main
+from tagrefine.evaluation import sample_params
 from tagrefine.vsim import read_vsim_tsv
 
 
@@ -438,6 +441,28 @@ class TestTuneCommand:
         assert len(set(scores)) == 1
         snippet = capsys.readouterr().out
         assert "alpha = 0.000000" in snippet
+
+    def test_invalid_later_trial_exits_2_before_any_refine(self, fixtures_dir, tmp_path,
+                                                             knowledge_args, monkeypatch):
+        rng = random.Random(4)
+        deltas = [sample_params(rng, {"delta": (0.5, 1.5)})["delta"] for _ in range(3)]
+        assert deltas[0] <= 1.0 < max(deltas[1:])  # only a later trial is invalid
+        calls = 0
+        real = pipeline.refine_record
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "refine_record", counted)
+        out = tmp_path / "t.tsv"
+        rc = main(["tune", "--train", str(fixtures_dir / "detections.jsonl"),
+                   "--gold", str(fixtures_dir / "gold.jsonl"), "--range", "delta=0.5:1.5",
+                   "--trials", "3", "--seed", "4", "--out", str(out), *knowledge_args])
+        assert rc == 2
+        assert calls == 0
+        assert not out.exists()
 
     def test_invalid_trials_exits_2(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "t.tsv"

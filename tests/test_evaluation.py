@@ -1,9 +1,12 @@
 import json
+import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagrefine.candidates import expand_similar
 from tagrefine.errors import ConfigError, LoadError
 from tagrefine.evaluation import (
     CONSERVATIVE,
@@ -165,7 +168,48 @@ class TestExpandGold:
         assert expand_gold({"ant", "bee"}, parents) == {"ant", "bee", "insect", "worker"}
 
 
+def per_trial_tune(train_set, space, trials, seed, store, base_hp):
+    """The search with trials as the outer loop, each refining every image
+    with a `Relatedness` of its own: the reference `tune` must match."""
+    from tagrefine.pipeline import make_relatedness, refine_record
+
+    expanded = [(record, expand_gold(gold, store.parents)) for record, gold in train_set]
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        params = sample_params(rng, space)
+        hp = replace(base_hp, **params)
+        rel = make_relatedness(store, hp)
+        f_sum = 0.0
+        for record, gold in expanded:
+            refined, _ = refine_record(record, store, hp, rel=rel)
+            labels = {r.label for r in refined if r.space in (Space.CL, Space.XL)}
+            f_sum += f1(precision(labels, gold), recall(labels, gold))
+        out.append((params, f_sum / len(expanded)))
+    return out
+
+
 class TestTune:
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_matches_per_trial_reference(self, fixture_store, fixture_records, pinned):
+        golds = [{"snake", "green mamba"}, {"person", "racket", "tennis ball"},
+                 {"monkey", "banana"}]
+        train = list(zip(fixture_records, golds, strict=True))
+        space = {name: (0.0, 2.0) for name in ("alpha", "beta", "gamma", "kappa")}
+        space.update({"delta": (0.5, 0.5), "tau_s": (0.1, 0.1)} if pinned
+                     else {"delta": (0.0, 1.0), "tau_s": (0.5, 0.9)})
+        hp = Hyperparameters()
+        _, log = tune(train, space, 8, 3, fixture_store, hp)
+        want = per_trial_tune(train, space, 8, 3, fixture_store, hp)
+        assert [(r.params, r.score) for r in log] == want
+        if not pinned:
+            # the draws must reach vsim scores on both sides of tau_s, or every
+            # trial would have the same candidates
+            similar = {tuple(frozenset(expand_similar(box, fixture_store.vsim, r.params["tau_s"]))
+                             for record in fixture_records for box in record.boxes)
+                       for r in log}
+            assert len(similar) > 1
+
     def test_same_seed_same_results(self, fixture_store, fixture_records):
         train = [(fixture_records[0], {"snake", "green mamba"})]
         space = {"alpha": (0.5, 1.5)}

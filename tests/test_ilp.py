@@ -269,6 +269,23 @@ class TestSearchEffort:
         assert calls <= 100
         assert out.objective_value == real(inst, out.choice, out.abstract)
 
+    def test_no_budget_dense_instance_effort_is_pinned(self, monkeypatch):
+        # 11^6 leaves, none cut by a budget: only the bounds keep this small
+        inst = replace(dense_instance(random.Random(0), 6, 10, 25), budget=None)
+        calls = 0
+        real = ilp.objective_value
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return real(*args)
+
+        monkeypatch.setattr(ilp, "objective_value", counted)
+        out = solve_exact(inst)
+        assert calls == 9
+        assert out.objective_value.hex() == "0x1.2be0986151742p+5"
+        assert out.objective_value == real(inst, out.choice, out.abstract)
+
 
 class TestScalingAndMonotonicity:
     def scaled_instance(self, inst, c):

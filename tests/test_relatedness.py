@@ -342,6 +342,20 @@ class TestTable:
         assert_table_matches_srel(rel, labels[:6], labels)
         assert_table_matches_srel(rel, labels[::-1], labels[2:])
 
+    def test_blends_of_one_geometry_leave_it_unchanged(self):
+        rng = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(8)]
+        table = EmbeddingTable(dim=5, vectors={w: rng.normal(size=5) for w in words})
+        labels = [*words, "w0 w1", "w2 w3 w4", "oov"]
+        cl = ColocTable({(labels[i], labels[i + 3]): i + 1 for i in range(len(labels) - 3)})
+        # rows and columns share most labels, so blends copy symmetric pairs
+        rows, cols = labels[:9], labels[2:] + ["w1"]
+        geometry = Relatedness(table, cl).geometry(rows, cols)
+        for delta in (0.3, 0.8, 0.3, 1.0, 0.0, 0.3):
+            got = geometry.blend(delta).block(rows, cols)
+            want = Relatedness(table, cl, delta=delta).table(rows, cols).block(rows, cols)
+            assert got.tobytes() == want.tobytes(), delta
+
     def test_labels_outside_the_block_are_key_errors(self):
         rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8], c=[0.0, 1.0]),
                           ColocTable({("a", "c"): 3}), delta=0.5)
