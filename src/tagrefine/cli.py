@@ -31,7 +31,7 @@ from .knowledge import (
 )
 from .labels import Space, canon_label
 from .scoring import Hyperparameters
-from .textio import data_lines
+from .textio import data_lines, json_list, json_records
 from .vsim import accumulate, finalize, read_detections_jsonl, read_vsim_tsv, write_vsim_tsv
 
 log = logging.getLogger(__name__)
@@ -186,17 +186,9 @@ def cmd_refine(args) -> int:
 
 
 def _read_refined_jsonl(path) -> dict[str, list[tuple[str, Space]]]:
-    out: dict[str, list[tuple[str, Space]]] = {}
-    for lineno, line in data_lines(path):
-        try:
-            obj = json.loads(line)
-            out[str(obj["image"])] = [
-                (canon_label(entry["label"]), Space(entry["space"]))
-                for entry in obj["labels"]
-            ]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(path, f"bad refined record: {exc}", lineno) from exc
-    return out
+    return dict(json_records(path, "refined", lambda obj: (
+        str(obj["image"]),
+        [(canon_label(entry["label"]), Space(entry["space"])) for entry in obj["labels"]])))
 
 
 def cmd_eval(args) -> int:
@@ -257,14 +249,8 @@ def _parse_range(text: str) -> tuple[str, tuple[float, float]]:
 
 
 def _read_gold_jsonl(path) -> dict[str, set[str]]:
-    gold: dict[str, set[str]] = {}
-    for lineno, line in data_lines(path):
-        try:
-            obj = json.loads(line)
-            gold[str(obj["image"])] = {canon_label(x) for x in obj["labels"]}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise LoadError(path, f"bad gold record: {exc}", lineno) from exc
-    return gold
+    return dict(json_records(path, "gold", lambda obj: (
+        str(obj["image"]), {canon_label(x) for x in json_list(obj["labels"], str)})))
 
 
 def cmd_tune(args) -> int:

@@ -10,15 +10,14 @@ unweighted per-image means.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, LoadError
+from .errors import ConfigError
 from .labels import Space, canon_label
-from .textio import data_lines
+from .textio import json_list, json_records
 
 log = logging.getLogger(__name__)
 
@@ -137,21 +136,12 @@ def evaluate_images(
 
 def read_judgments_jsonl(path) -> dict[tuple[str, str], JudgedPool]:
     """Read graded pools: one JSON object per line, keyed (image, pool tag)."""
-    pools: dict[tuple[str, str], JudgedPool] = {}
-    for lineno, line in data_lines(path):
-        try:
-            obj = json.loads(line)
-            image_id = str(obj["image"])
-            pool_tag = str(obj["pool"])
-            entries = {
-                canon_label(label): tuple(int(g) for g in grades)
-                for label, grades in obj["labels"].items()
-            }
-            pool = JudgedPool(image_id=image_id, entries=entries, pool_tag=pool_tag)
-        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
-            raise LoadError(path, f"bad judgment record: {exc}", lineno) from exc
-        pools[(image_id, pool_tag)] = pool
-    return pools
+    pools = json_records(path, "judgment", lambda obj: JudgedPool(
+        image_id=str(obj["image"]),
+        entries={canon_label(label): tuple(json_list(grades, int))
+                 for label, grades in obj["labels"].items()},
+        pool_tag=str(obj["pool"])))
+    return {(pool.image_id, pool.pool_tag): pool for pool in pools}
 
 
 def write_metrics_tsv(rows: Sequence[MetricsRow], fh) -> None:

@@ -14,29 +14,29 @@ runs over X and Y only: depth-first branch and bound over per-box choices
 (including "no label"), with an exact closed-form completion of the
 abstract subset at each leaf.
 
-The instance holds its coefficients as dense per-box arrays, zero-padded to
-the widest box: the unaries, and per box its Z rows against every later box
-and its W rows against every abstract candidate. `build_instance` reads them
-as blocks of the image's srel table, and the instance's `z` and `w` list the
-nonzero terms by variable, for the LP dump. `solve_exact` gives each box's
-arrays one more zero row, its "no label" child, and carries its state down
-the search: the unary + Z value of the boxes decided so far, what each
-candidate of every later box would add to it, and the running gain of every
-abstract candidate. A node bounds all its children -- each candidate of its
-box, then "no label" -- in one vectorized call, and cuts a child when its
-budget-aware bound -- the best split of the labels still allowed between the
-remaining boxes and the capped abstract subset -- falls below the incumbent.
-Each child is compared just before it is entered, since the incumbent
-improves between siblings. When v more boxes are labelled, a box can add at
-most its carried value plus half its v - 1 best partners among the
-remaining boxes (each pair is shared by its two ends), and an abstract
-candidate at most its current gain plus its best W on v of the remaining
-boxes. At a leaf the bound is the carried objective itself, so only leaves
-that could still be best pay for the canonical `objective_value` and the
-tie-break key; both reuse the carried abstract gains, which are the same
-sums in the same order. (This is MAP inference with a cardinality
-constraint, solved by depth-first branch and bound; see Marinescu &
-Dechter, AIJ 2009.)
+The instance holds its coefficients as dense arrays indexed like the
+variables, `unary[i, j]`, `zcoef[i, j, m, k]` (zero unless i < m) and
+`wcoef[i, j, k]`, every box zero-padded to the widest box + 1: slot
+`len(box_labels[i])` is box i's zero "no label" child. `build_instance`
+fills them from one block of the image's srel table, and the instance's `z`
+and `w` list the nonzero terms by variable, for the LP dump. `solve_exact`
+reads the arrays in place and carries its state down the search: the unary +
+Z value of the boxes decided so far, what each candidate of every later box
+would add to it, and the running gain of every abstract candidate. A node
+bounds all its children -- each candidate of its box, then "no label" -- in
+one vectorized call, and cuts a child when its budget-aware bound -- the
+best split of the labels still allowed between the remaining boxes and the
+capped abstract subset -- falls below the incumbent. Each child is compared
+just before it is entered, since the incumbent improves between siblings.
+When v more boxes are labelled, a box can add at most its carried value plus
+half its v - 1 best partners among the remaining boxes (each pair is shared
+by its two ends), and an abstract candidate at most its current gain plus
+its best W on v of the remaining boxes. At a leaf the bound is the carried
+objective itself, so only leaves that could still be best pay for the
+canonical `objective_value` and the tie-break key; both reuse the carried
+abstract gains, which are the same sums in the same order. (This is MAP
+inference with a cardinality constraint, solved by depth-first branch and
+bound; see Marinescu & Dechter, AIJ 2009.)
 
 Ties are broken by preferring the lexicographically smallest chosen-label
 multiset, then fewer labels, then labeling earlier boxes. `brute_force`
@@ -70,37 +70,36 @@ _PRUNE_EPS = 1e-9
 
 @dataclass(eq=False)
 class IlpInstance:
+    # The coefficient arrays are read-only, zero outside the variables, and
+    # width is the widest box + 1: slot len(box_labels[i]) is "no label".
     box_labels: tuple[tuple[str, ...], ...]   # candidate labels per box
-    unary: np.ndarray                          # (n, width): alpha * (vconf + kappa * gconf)
+    unary: np.ndarray                          # (n, width) [i, j]: alpha * (vconf + kappa * gconf)
     abstract_labels: tuple[str, ...]
-    zrows: list[np.ndarray]  # zrows[i][j, m - i - 1, k]: Z of (i, j) with (m, k), m > i
-    wrows: list[np.ndarray]  # wrows[i][j, k]: W of (i, j) with abstract k
+    zcoef: np.ndarray  # (n, width, n, width) [i, j, m, k]: Z of (i, j) with (m, k); 0 unless i < m
+    wcoef: np.ndarray  # (n, width, n_abstract) [i, j, k]: W of (i, j) with abstract k
     budget: int | None
     visual_cap: int | None                     # selected-visual bound (80% variant)
     max_abstract: ClassVar[int] = MAX_ABSTRACT_LABELS
 
     def __post_init__(self):
-        coeffs = np.concatenate([a.ravel() for a in (self.unary, *self.zrows, *self.wrows)])
-        ok = (coeffs >= 0) & np.isfinite(coeffs)  # NaN fails both
-        if not ok.all():
-            c = float(coeffs[ok.argmin()])
-            raise ContractViolation(f"objective coefficient {c!r} not finite nonnegative")
+        for coeffs in (self.unary, self.zcoef, self.wcoef):
+            coeffs.setflags(write=False)  # the solver searches them in place
+            ok = (coeffs >= 0) & np.isfinite(coeffs)  # NaN fails both
+            if not ok.all():
+                c = float(coeffs[~ok][0])
+                raise ContractViolation(f"objective coefficient {c!r} not finite nonnegative")
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1 or none, got {self.budget!r}")
 
     @cached_property
     def z(self) -> dict[tuple[int, int, int, int], float]:
         """The nonzero Z coefficients by (i, j, m, k), in sorted key order."""
-        return {(i, j, i + 1 + p, k): float(rows[j, p, k])
-                for i, rows in enumerate(self.zrows)
-                for j, p, k in np.argwhere(rows).tolist()}
+        return _nonzero(self.zcoef)
 
     @cached_property
     def w(self) -> dict[tuple[int, int, int], float]:
         """The nonzero W coefficients by (i, j, k), in sorted key order."""
-        return {(i, j, k): float(rows[j, k])
-                for i, rows in enumerate(self.wrows)
-                for j, k in np.argwhere(rows).tolist()}
+        return _nonzero(self.wcoef)
 
     @property
     def n_boxes(self) -> int:
@@ -117,6 +116,12 @@ class IlpInstance:
         return states * (2.0 ** self.n_abstract)
 
 
+def _nonzero(coef: np.ndarray) -> dict:
+    """The nonzero entries of `coef` by index, in C (sorted key) order."""
+    at = np.nonzero(coef)
+    return dict(zip(zip(*(a.tolist() for a in at)), coef[at].tolist()))
+
+
 @dataclass
 class Assignment:
     choice: tuple[int | None, ...]  # per box, its chosen candidate (None = unlabeled)
@@ -129,44 +134,45 @@ def build_instance(
 ) -> IlpInstance:
     """Assemble coefficients and bounds from a candidate space.
 
-    Each Z block is `beta` times the srel block of two boxes' labels, and
-    each W block the srel block of a box's labels against the abstract
-    labels, times `gamma * cnet` per abstract candidate.
+    Each Z coefficient is `beta` times the srel of two labels in boxes
+    i < m, and each W coefficient the srel of a box label and an abstract
+    label, times `gamma * cnet` of the abstract candidate. All of them come
+    from one srel block, every visual label x (every visual label + every
+    abstract label).
     """
     boxes = [cands.per_box[box_id] for box_id in cands.box_ids]
     box_labels = tuple(tuple(c.label for c in box) for box in boxes)
     abstract_labels = tuple(a.label for a in cands.abstract)
     n = len(boxes)
-    sizes = [len(box) for box in boxes]
-    width = max(sizes, default=0)
+    width = max(map(len, boxes), default=0) + 1
+    # every visual label's (box, slot), in key order
+    box_of, slot_of = np.array([(i, j) for i, box in enumerate(boxes) for j in range(len(box))],
+                               dtype=np.intp).reshape(-1, 2).T
+    labels = [label for row in box_labels for label in row]
+    cols = labels + list(abstract_labels)
+    # a plain srel function is called once per pair
+    srel = srel_fn.block(labels, cols) if isinstance(srel_fn, SrelTable) else \
+        np.array([[srel_fn(a, b) for b in cols] for a in labels]).reshape(len(labels), len(cols))
 
     unary = np.zeros((n, width))
-    for i, box in enumerate(boxes):
-        unary[i, : sizes[i]] = [hp.alpha * (c.vconf + hp.kappa * c.gconf) for c in box]
-    zrows = [np.zeros((sizes[i], n - i - 1, width)) for i in range(n)]
-    for i in range(n):
-        for m in range(i + 1, n):
-            zrows[i][:, m - i - 1, : sizes[m]] = \
-                hp.beta * _srel_block(srel_fn, box_labels[i], box_labels[m])
+    unary[box_of, slot_of] = [hp.alpha * (c.vconf + hp.kappa * c.gconf)
+                              for box in boxes for c in box]
+    zcoef = np.zeros((n, width, n, width))
+    p, q = np.nonzero(box_of[:, None] < box_of)  # label pairs in boxes i < m
+    zcoef[box_of[p], slot_of[p], box_of[q], slot_of[q]] = hp.beta * srel[p, q]
+    wcoef = np.zeros((n, width, len(abstract_labels)))
     weights = hp.gamma * np.array([a.cnet for a in cands.abstract])
-    wrows = [_srel_block(srel_fn, labels, abstract_labels) * weights for labels in box_labels]
+    wcoef[box_of, slot_of] = srel[:, len(labels):] * weights
 
     return IlpInstance(
         box_labels=box_labels,
         unary=unary,
         abstract_labels=abstract_labels,
-        zrows=zrows,
-        wrows=wrows,
+        zcoef=zcoef,
+        wcoef=wcoef,
         budget=hp.budget,
         visual_cap=math.floor(0.8 * n) if hp.visir_star else None,
     )
-
-
-def _srel_block(srel_fn: SrelFn, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-    """srel of every pair of `rows` x `cols`; a plain function is called once per pair."""
-    if isinstance(srel_fn, SrelTable):
-        return srel_fn.block(rows, cols)
-    return np.array([[srel_fn(a, b) for b in cols] for a in rows]).reshape(len(rows), len(cols))
 
 
 # --- objective and ordering ----------------------------------------------------
@@ -188,7 +194,7 @@ def objective_value(
         val += inst.unary[i, j]
     for p, (i, j) in enumerate(chosen):
         for m, k in chosen[p + 1:]:
-            val += inst.zrows[i][j, m - i - 1, k]
+            val += inst.zcoef[i, j, m, k]
     if gains is None:
         gains = _abstract_gains(inst, choice)
     for k in sorted(abstract):
@@ -201,7 +207,7 @@ def _abstract_gains(inst: IlpInstance, choice: Sequence[int | None]) -> np.ndarr
     gains = np.zeros(inst.n_abstract)
     for i, j in enumerate(choice):
         if j is not None:
-            gains += inst.wrows[i][j]
+            gains += inst.wcoef[i, j]
     return gains
 
 
@@ -280,31 +286,17 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     """
     n, n_abs = inst.n_boxes, inst.n_abstract
     sizes = [len(labels) for labels in inst.box_labels]
-    width = inst.unary.shape[1] + 1
-
-    # one more zero row per box for its "no label" child, at index sizes[i],
-    # and one more zero column so that index exists in every box's deltas;
-    # adding these zeros leaves every carried value bit-identical
-    unary = np.zeros((n, width))
-    unary[:, :-1] = inst.unary
-    zrows = [np.zeros((sizes[i] + 1, n - i - 1, width)) for i in range(n)]
-    wrows = [np.zeros((sizes[i] + 1, n_abs)) for i in range(n)]
-    for i in range(n):
-        zrows[i][:-1, :, :-1] = inst.zrows[i]
-        wrows[i][:-1] = inst.wrows[i]
+    unary, zcoef, wcoef = inst.unary, inst.zcoef, inst.wcoef
 
     max_abs = min(inst.max_abstract, n_abs)
     no_limit = n + max_abs
     budget = no_limit if inst.budget is None else inst.budget
     visual_cap = no_limit if inst.visual_cap is None else inst.visual_cap
 
-    # partner[m, j, p]: the most candidate j of box m can gain with box p
-    partner = np.zeros((n, width, n))
-    for i in range(n):
-        for m in range(i + 1, n):
-            pair = zrows[i][: sizes[i], m - i - 1, : sizes[m]]
-            partner[i, : sizes[i], m] = pair.max(axis=1, initial=0.0)
-            partner[m, : sizes[m], i] = pair.max(axis=0, initial=0.0)
+    # partner[m, j, p]: the most candidate j of box m can gain with box p;
+    # Z is zero unless i < m, so the two halves do not overlap
+    partner = zcoef.max(axis=3)
+    np.maximum(partner, zcoef.max(axis=1).transpose(1, 2, 0), out=partner)
     # Tables per depth i, over the boxes i..n-1. A box before i counts as 0
     # in every sort: the sums below take at most the n - i largest values,
     # and every value is >= 0, so they come out the same.
@@ -314,10 +306,10 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     # labelled, each pair between them is shared by its two ends.
     most = max(min(n, budget, visual_cap) - 1, 0)
     among = -np.sort(-np.where(after[:, None, None], partner, 0.0), axis=3)[..., :most]
-    zshare = np.zeros((n + 1, most + 1, n, width))
+    zshare = np.zeros((n + 1, most + 1, *unary.shape))
     zshare[:, 1:] = 0.5 * np.cumsum(among, axis=3).transpose(0, 3, 1, 2)
     # wtop[i, v, k]: the most v of the boxes i..n-1 can add to abstract gain k
-    wmax = np.array([w.max(axis=0, initial=0.0) for w in wrows]).reshape(n, n_abs)
+    wmax = wcoef.max(axis=1)
     wtop = np.zeros((n + 1, n + 1, n_abs))
     wtop[:, 1:] = np.cumsum(-np.sort(-np.where(after[:, :, None], wmax, 0.0), axis=1), axis=1)
 
@@ -395,8 +387,8 @@ def solve_exact(inst: IlpInstance) -> Assignment:
         first = 0 if n_vis < budget and n_vis < visual_cap else none
         rows = slice(first, none + 1)
         values = value + deltas[0, rows]
-        kid_gains = gains + wrows[i][rows]
-        kid_deltas = deltas[1:] + zrows[i][rows]
+        kid_gains = gains + wcoef[i, rows]
+        kid_deltas = deltas[1:] + zcoef[i, rows, i + 1:]
         kid_bounds = bounds(i + 1, values, n_vis, kid_gains, kid_deltas).tolist()
         for j in order[i] if first == 0 else (none,):
             c = j - first

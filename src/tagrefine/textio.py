@@ -8,9 +8,12 @@ a LoadError naming `path:line`.
 
 from __future__ import annotations
 
-from typing import Iterator
+import json
+from typing import Any, Callable, Iterator, TypeVar
 
-from .errors import LoadError
+from .errors import ConfigError, LoadError
+
+T = TypeVar("T")
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:
@@ -51,3 +54,25 @@ def tsv_fields(path, lineno: int, line: str, n: int) -> list[str]:
     if len(parts) != n:
         raise LoadError(path, f"expected {n} tab-separated fields, got {len(parts)}", lineno)
     return parts
+
+
+def json_records(path, what: str, parse: Callable[[Any], T]) -> Iterator[T]:
+    """Yield `parse` of each data line's decoded JSON value.
+
+    A line that is not JSON, or whose value `parse` rejects (KeyError,
+    TypeError, ValueError, AttributeError or ConfigError), is a LoadError
+    `bad {what} record: ...` naming `path:line`.
+    """
+    for lineno, line in data_lines(path):
+        try:
+            record = parse(json.loads(line))
+        except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
+            raise LoadError(path, f"bad {what} record: {exc}", lineno) from exc
+        yield record
+
+
+def json_list(value, kind: type) -> list:
+    """`value` if it is a list of `kind` values, bools not counted as ints; else ValueError."""
+    if type(value) is not list or any(type(x) is not kind for x in value):
+        raise ValueError(f"expected a list of {kind.__name__}, got {value!r}")
+    return value

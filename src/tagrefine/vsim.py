@@ -207,11 +207,14 @@ def parse_record(obj: dict) -> DetectionRecord:
         image_id = str(obj["image"])
         boxes = []
         for box_obj in obj.get("boxes", []):
-            cands = tuple(
-                (canon_label(c["label"]), float(c["conf"]))
-                for c in box_obj.get("candidates", [])
-            )
-            boxes.append(BoundingBox(box_id=str(box_obj["id"]), candidates=cands))
+            cands = []
+            for c in box_obj.get("candidates", []):
+                conf = c["conf"]
+                # a JSON number only: float() would also take true and "0.5"
+                if type(conf) not in (float, int):
+                    raise ValueError(f"confidence {conf!r} is not a number")
+                cands.append((canon_label(c["label"]), float(conf)))
+            boxes.append(BoundingBox(box_id=str(box_obj["id"]), candidates=tuple(cands)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed detection record: {exc}") from exc
     return DetectionRecord(image_id=image_id, boxes=tuple(boxes))

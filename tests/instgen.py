@@ -20,21 +20,20 @@ def instance(box_labels, unary, abstract_labels=(), z=None, w=None, budget=5,
              visual_cap=None) -> IlpInstance:
     """An instance from per-box unary rows and `z`/`w` dicts keyed (i, j, m, k)
     with i < m and (i, j, k); absent keys are zero coefficients."""
-    n, n_abs = len(box_labels), len(abstract_labels)
-    sizes = [len(labels) for labels in box_labels]
-    width = max(sizes, default=0)
+    n = len(box_labels)
+    width = max(map(len, box_labels), default=0) + 1
     dense = np.zeros((n, width))
     for i, row in enumerate(unary):
         dense[i, : len(row)] = row
-    zrows = [np.zeros((sizes[i], n - i - 1, width)) for i in range(n)]
+    zcoef = np.zeros((n, width, n, width))
     for (i, j, m, k), c in (z or {}).items():
         assert i < m, (i, m)
-        zrows[i][j, m - i - 1, k] = c
-    wrows = [np.zeros((sizes[i], n_abs)) for i in range(n)]
-    for (i, j, k), c in (w or {}).items():
-        wrows[i][j, k] = c
+        zcoef[i, j, m, k] = c
+    wcoef = np.zeros((n, width, len(abstract_labels)))
+    for key, c in (w or {}).items():
+        wcoef[key] = c
     return IlpInstance(box_labels=tuple(box_labels), unary=dense,
-                       abstract_labels=tuple(abstract_labels), zrows=zrows, wrows=wrows,
+                       abstract_labels=tuple(abstract_labels), zcoef=zcoef, wcoef=wcoef,
                        budget=budget, visual_cap=visual_cap)
 
 

@@ -30,9 +30,9 @@ def read_jsonl(path):
     return [json.loads(line) for line in Path(path).read_text(encoding="utf-8").splitlines()]
 
 
-def detection_line(image="i1", box="b1", labels=("snake",)):
+def detection_line(image="i1", box="b1", labels=("snake",), conf=0.5):
     """One detections JSONL line; `json.dumps` escapes a lone surrogate as `\\udXXX`."""
-    cands = [{"label": label, "conf": 0.5} for label in labels]
+    cands = [{"label": label, "conf": conf} for label in labels]
     return json.dumps({"image": image, "boxes": [{"id": box, "candidates": cands}]})
 
 
@@ -42,6 +42,9 @@ def repeated_box_line(image="i2"):
              for label in ("snake", "cucumber")]
     return json.dumps({"image": image, "boxes": boxes})
 
+
+# JSON values that `float` reads as a number but that are not JSON numbers
+NON_NUMBER_CONFS = [True, "0.5"]
 
 # a lone surrogate decodes from JSON but cannot be written out as UTF-8
 SURROGATE_FIELDS = [{"image": "x\ud800"}, {"box": "b\ud800"},
@@ -89,6 +92,17 @@ class TestMineVsim:
         corpus = tmp_path / "c.jsonl"
         corpus.write_text(detection_line(image="i1", labels=("a", "b")) + "\n"
                           + repeated_box_line() + "\n")
+        out = tmp_path / "o.tsv"
+        rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "a\tb\t1.000000\n"
+        assert "1 malformed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("conf", NON_NUMBER_CONFS)
+    def test_non_number_confidence_line_skipped(self, tmp_path, capsys, conf):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(detection_line(image="i1", labels=("a", "b")) + "\n"
+                          + detection_line(image="i2", labels=("a", "c"), conf=conf) + "\n")
         out = tmp_path / "o.tsv"
         rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)])
         assert rc == 0
@@ -162,6 +176,19 @@ class TestRefine:
         detections = tmp_path / "d.jsonl"
         detections.write_text(detection_line(image="i1") + "\n"
                               + detection_line(**{"image": "i2", **bad}) + "\n")
+        out = tmp_path / "refined.jsonl"
+        rc = main(["refine", "--detections", str(detections), "--out", str(out),
+                   *knowledge_args])
+        assert rc == 0
+        assert [r["image"] for r in read_jsonl(out)] == ["i1"]
+        assert "1 malformed detection lines skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("conf", NON_NUMBER_CONFS)
+    def test_non_number_confidence_line_skipped(self, tmp_path, knowledge_args, capsys,
+                                                conf):
+        detections = tmp_path / "d.jsonl"
+        detections.write_text(detection_line(image="i1") + "\n"
+                              + detection_line(image="i2", conf=conf) + "\n")
         out = tmp_path / "refined.jsonl"
         rc = main(["refine", "--detections", str(detections), "--out", str(out),
                    *knowledge_args])
@@ -463,6 +490,22 @@ class TestTuneCommand:
         assert rc == 2
         assert calls == 0
         assert not out.exists()
+
+    @pytest.mark.parametrize("conf", NON_NUMBER_CONFS)
+    def test_non_number_confidence_line_skipped(self, fixtures_dir, tmp_path,
+                                                knowledge_args, capsys, conf):
+        train = tmp_path / "train.jsonl"
+        train.write_text((fixtures_dir / "detections.jsonl").read_text(encoding="utf-8")
+                         + detection_line(image="extra", conf=conf) + "\n")
+        rc, plain = self.run_tune(fixtures_dir, tmp_path, knowledge_args, "plain.tsv")
+        assert rc == 0
+        capsys.readouterr()
+        out = tmp_path / "t.tsv"
+        rc = main(["tune", "--train", str(train), "--gold", str(fixtures_dir / "gold.jsonl"),
+                   "--trials", "3", "--seed", "11", "--out", str(out), *knowledge_args])
+        assert rc == 0
+        assert "1 malformed detection lines skipped" in capsys.readouterr().err
+        assert out.read_bytes() == plain.read_bytes()
 
     def test_invalid_trials_exits_2(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "t.tsv"

@@ -95,10 +95,8 @@ class TestBuildInstance:
             cands = generate(record, fixture_store, hp, rel)
             table = build_instance(cands, hp, cands.srel)
             plain = build_instance(cands, hp, rel.srel)
-            assert np.array_equal(table.unary, plain.unary)
-            for a, b in [*zip(table.zrows, plain.zrows, strict=True),
-                         *zip(table.wrows, plain.wrows, strict=True)]:
-                assert np.array_equal(a, b), record.image_id
+            for name in ("unary", "zcoef", "wcoef"):
+                assert np.array_equal(getattr(table, name), getattr(plain, name)), record.image_id
 
     def test_z_and_w_list_the_nonzero_terms_in_key_order(self, fixture_store,
                                                          fixture_records):
@@ -249,6 +247,22 @@ class TestSolveExact:
         assert a.objective_value == b.objective_value
 
 
+class TestInstanceArrays:
+    NAMES = ("unary", "zcoef", "wcoef")
+
+    def test_read_only_and_left_as_they_were_by_the_solvers(self):
+        rng = random.Random(17)
+        for _ in range(30):
+            inst = random_instance(rng, min_abstract=1)
+            for name in self.NAMES:
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(inst, name)[0] = 1.0
+            before = [getattr(inst, name).copy() for name in self.NAMES]
+            truncate_to_cap(inst, solve_exact(inst), 1)
+            for name, array in zip(self.NAMES, before):
+                assert np.array_equal(getattr(inst, name), array), name
+
+
 class TestSearchEffort:
     """Counts canonical objective evaluations, not wall time, so it repeats exactly."""
 
@@ -289,8 +303,7 @@ class TestSearchEffort:
 
 class TestScalingAndMonotonicity:
     def scaled_instance(self, inst, c):
-        return replace(inst, unary=c * inst.unary, zrows=[c * rows for rows in inst.zrows],
-                       wrows=[c * rows for rows in inst.wrows])
+        return replace(inst, unary=c * inst.unary, zcoef=c * inst.zcoef, wcoef=c * inst.wcoef)
 
     def test_joint_scaling_keeps_assignment(self):
         rng = random.Random(99)

@@ -40,6 +40,21 @@ READERS = {
 }
 
 
+# case -> (reader, a JSON line whose field has the wrong type, the reader's message)
+WRONG_TYPES = {
+    "gold-string": ("gold", '{"image": "i1", "labels": "snake"}', "bad gold record"),
+    "gold-number": ("gold", '{"image": "i1", "labels": ["snake", 5]}', "bad gold record"),
+    "grades-float-bool": ("judgments", '{"image": "i1", "pool": "CL", '
+                          '"labels": {"a": [1.5, 2.9, true]}}', "bad judgment record"),
+    "grades-string": ("judgments", '{"image": "i1", "pool": "CL", "labels": {"a": "21"}}',
+                      "bad judgment record"),
+    "grades-bool": ("judgments", '{"image": "i1", "pool": "CL", "labels": {"a": [true]}}',
+                    "bad judgment record"),
+    "refined-number": ("refined", '{"image": "i1", "labels": '
+                       '[{"label": 5, "space": "CL", "box": "b"}]}', "bad refined record"),
+}
+
+
 def write(tmp_path, lines):
     path = tmp_path / "input.txt"
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -89,3 +104,24 @@ def test_non_utf8_line_reported_by_number(name, tmp_path):
         read(path)
     assert info.value.line == 1002
     assert f"{path}:1002:" in str(info.value)
+
+
+@pytest.mark.parametrize("case", WRONG_TYPES)
+def test_wrong_field_type_reported_by_number(case, tmp_path):
+    name, line, message = WRONG_TYPES[case]
+    read, good, _ = READERS[name]
+    path = write(tmp_path, [good, line])
+    with pytest.raises(LoadError) as info:
+        read(path)
+    assert info.value.line == 2
+    assert f"{path}:2: {message}: " in str(info.value)
+
+
+@pytest.mark.parametrize("name, message", [("gold", "bad gold record"),
+                                           ("judgments", "bad judgment record"),
+                                           ("refined", "bad refined record")])
+def test_line_that_is_not_json_keeps_the_reader_message(name, message, tmp_path):
+    read, good, _ = READERS[name]
+    path = write(tmp_path, [good, "{broken"])
+    with pytest.raises(LoadError, match=f"{path}:2: {message}: Expecting"):
+        read(path)
