@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 from .errors import ConfigError
 from .knowledge import KnowledgeStore
 from .labels import Origin
-from .relatedness import Relatedness, SrelGeometry
+from .relatedness import Relatedness, SrelTable
 from .scoring import Hyperparameters, SrelFn, gconf, vconf
 from .vsim import BoundingBox, DetectionRecord, VsimTable, similar_set
 
@@ -84,8 +84,7 @@ def rank_abstract(
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
     out: list[AbstractCandidate] = []
-    for obj in sorted(supporting):
-        scores = supporting[obj]
+    for obj, scores in supporting.items():
         cnet = max(scores.values())
         aconf = max(cnet * srel_fn(subject, obj) for subject in scores)
         out.append(AbstractCandidate(label=obj, cnet=cnet, aconf=aconf))
@@ -100,15 +99,15 @@ class ImageLabels:
     # its hypernym labels
     boxes: list[tuple[str, list[VisualCandidate], list[str]]]
     supporting: dict[str, dict[str, float]]  # `asserted_objects` of the visual labels
-    geometry: SrelGeometry | None  # srel before the blend, given a `Relatedness`
+    table: SrelTable | None  # the image's srel, given a `Relatedness`
 
 
 def image_labels(
     record: DetectionRecord, store: KnowledgeStore, tau_s: float, srel: Relatedness | SrelFn
 ) -> ImageLabels:
     """Each box's original, similar and hypernym labels at `tau_s`, the
-    phrases asserted about them and, given a `Relatedness`, the geometry of
-    the visual labels x (the visual labels + those phrases)."""
+    phrases asserted about them and, given a `Relatedness`, the srel table
+    of the visual labels x (the visual labels + those phrases)."""
     boxes = []
     visual: dict[str, None] = {}
     for box in record.boxes:
@@ -125,9 +124,9 @@ def image_labels(
         visual.update(dict.fromkeys([*original, *similar, *hyper]))
     # every asserted phrase, before the cap: the best supports decide the ranking
     supporting = asserted_objects(visual, store.by_subject)
-    geometry = srel.geometry(list(visual), [*visual, *sorted(supporting)]) \
+    table = srel.table(list(visual), sorted(supporting)) \
         if isinstance(srel, Relatedness) else None
-    return ImageLabels(boxes, supporting, geometry)
+    return ImageLabels(boxes, supporting, table)
 
 
 def generate(
@@ -155,7 +154,7 @@ def generate(
         labels = image_labels(record, store, hp.tau_s, srel)
         if memo is not None:
             memo[hp.tau_s] = labels
-    srel_fn = srel if labels.geometry is None else labels.geometry.blend(hp.delta)
+    srel_fn = srel if labels.table is None else labels.table.blend(hp.delta)
 
     per_box: dict[str, list[VisualCandidate]] = {}
     for box_id, fixed, hyper in labels.boxes:

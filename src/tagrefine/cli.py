@@ -31,7 +31,7 @@ from .knowledge import (
 )
 from .labels import Space, canon_label
 from .scoring import Hyperparameters
-from .textio import data_lines, json_list, json_records
+from .textio import data_lines, json_list, json_records, json_str
 from .vsim import accumulate, finalize, read_detections_jsonl, read_vsim_tsv, write_vsim_tsv
 
 log = logging.getLogger(__name__)
@@ -40,8 +40,7 @@ EXIT_OK = 0
 EXIT_ERROR = 2
 EXIT_MISMATCH = 3
 
-HP_KEYS = ("alpha", "beta", "gamma", "kappa", "delta", "budget", "tau_s", "visir_star",
-           "abstract_cap")
+HP_KEYS = tuple(field.name for field in dataclasses.fields(Hyperparameters))
 
 
 def _parse_scalar(text: str):
@@ -112,9 +111,8 @@ def resolve_hp(args) -> Hyperparameters:
                 f"{args.config}: unknown config key {key!r}; expected one of {', '.join(HP_KEYS)}"
             )
     flags = vars(args)
-    values = {key: config[key] for key in HP_KEYS if key in config}
-    values.update({key: flags[key] for key in HP_KEYS if key in flags})
-    return dataclasses.replace(Hyperparameters(), **values)
+    config.update({key: flags[key] for key in HP_KEYS if key in flags})
+    return dataclasses.replace(Hyperparameters(), **config)
 
 
 def add_knowledge_flags(sub: argparse.ArgumentParser) -> None:
@@ -187,7 +185,7 @@ def cmd_refine(args) -> int:
 
 def _read_refined_jsonl(path) -> dict[str, list[tuple[str, Space]]]:
     return dict(json_records(path, "refined", lambda obj: (
-        str(obj["image"]),
+        json_str(obj["image"]),
         [(canon_label(entry["label"]), Space(entry["space"])) for entry in obj["labels"]])))
 
 
@@ -250,7 +248,7 @@ def _parse_range(text: str) -> tuple[str, tuple[float, float]]:
 
 def _read_gold_jsonl(path) -> dict[str, set[str]]:
     return dict(json_records(path, "gold", lambda obj: (
-        str(obj["image"]), {canon_label(x) for x in json_list(obj["labels"], str)})))
+        json_str(obj["image"]), {canon_label(x) for x in json_list(obj["labels"], str)})))
 
 
 def cmd_tune(args) -> int:

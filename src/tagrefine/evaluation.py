@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .labels import Space, canon_label
-from .textio import json_list, json_records
+from .textio import json_list, json_records, json_str
 
 log = logging.getLogger(__name__)
 
@@ -137,10 +137,10 @@ def evaluate_images(
 def read_judgments_jsonl(path) -> dict[tuple[str, str], JudgedPool]:
     """Read graded pools: one JSON object per line, keyed (image, pool tag)."""
     pools = json_records(path, "judgment", lambda obj: JudgedPool(
-        image_id=str(obj["image"]),
+        image_id=json_str(obj["image"]),
         entries={canon_label(label): tuple(json_list(grades, int))
                  for label, grades in obj["labels"].items()},
-        pool_tag=str(obj["pool"])))
+        pool_tag=json_str(obj["pool"])))
     return {(pool.image_id, pool.pool_tag): pool for pool in pools}
 
 
@@ -210,9 +210,9 @@ def tune(
     gold annotations cannot contain it). Ties resolve to the earliest trial.
     Trials only read the shared immutable store, so they are independent:
     each image is refined under every trial in turn, and what no weight
-    changes (its labels, vconf and srel geometry) is built once per image
-    and `tau_s`. Each trial still sums its F1 over the images in input
-    order.
+    changes (its labels, vconf and srel table) is built once per image and
+    `tau_s`; each trial blends that table at its own `delta`. Each trial
+    still sums its F1 over the images in input order.
     """
     from .pipeline import make_relatedness, refine_record
 

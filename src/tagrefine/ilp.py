@@ -151,7 +151,7 @@ def build_instance(
     labels = [label for row in box_labels for label in row]
     cols = labels + list(abstract_labels)
     # a plain srel function is called once per pair
-    srel = srel_fn.block(labels, cols) if isinstance(srel_fn, SrelTable) else \
+    srel = srel_fn.block(labels, abstract_labels) if isinstance(srel_fn, SrelTable) else \
         np.array([[srel_fn(a, b) for b in cols] for a in labels]).reshape(len(labels), len(cols))
 
     unary = np.zeros((n, width))

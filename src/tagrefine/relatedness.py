@@ -11,13 +11,13 @@ co-location term at full `1 - delta` weight lost, not renormalized.
 
 Two paths compute it. `Relatedness.srel` scores one pair with one dot
 product; it is the reference that tests check tables against.
-`Relatedness.table` scores every pair of a rows x cols block with one
-matrix product; the program reads srel only from such tables. A table is
-its block's `SrelGeometry` -- cosines and co-location terms, built once --
-blended at one delta, so a hyperparameter search blends each image's
-geometry again per trial instead of rebuilding it. The two paths agree to
-the last bit or two: the matrix product sums each dot product in an order
-of its own, and every other step is the same float arithmetic.
+`Relatedness.table` scores every pair of a labels x (labels + extra) block
+with one matrix product; the program reads srel only from such tables. A
+table keeps its cosines and co-location terms, so a hyperparameter search
+blends each image's table again per trial instead of rebuilding it. The two
+paths agree to the last bit or two: the matrix product sums each dot
+product in an order of its own, and every other step is the same float
+arithmetic.
 """
 
 from __future__ import annotations
@@ -37,36 +37,48 @@ LABEL_CACHE = 8192
 
 
 class SrelTable:
-    """srel over a fixed rows x cols block, looked up by label.
+    """srel over a fixed labels x (labels + extra) block, looked up by label.
 
-    Called as `table(a, b)` with `a` a row label and `b` a column label, so
-    it serves wherever a scalar srel function does on those pairs;
-    `block(rows, cols)` reads a whole sub-block as an array. Any other label
-    is a KeyError. A pair of labels that are both rows and both columns has
-    one value, whichever way it is asked for.
+    Called as `table(a, b)` with `a` one of the labels and `b` any label of
+    the block, so it serves wherever a scalar srel function does on those
+    pairs; `block(labels, extra)` reads a whole sub-block as an array. Any
+    other label is a LookupError. A pair of the labels has one value,
+    whichever way round it is asked for.
+
+    The cosine, co-location, blend and clamps are elementwise float
+    operations in `Relatedness.srel`'s order, so a pair whose cosine is 0
+    for want of a vector gets `srel`'s value bit for bit. The cosines and
+    co-location terms are only read, so `blend` can make a table at any
+    number of deltas over the same arrays.
     """
 
-    __slots__ = ("_rows", "_cols", "_values")
+    __slots__ = ("_index", "_cos", "_co", "_values")
 
-    def __init__(self, rows: dict[str, int], cols: dict[str, int], values: np.ndarray):
-        self._rows = rows
-        self._cols = cols
-        self._values = values
+    def __init__(self, index: dict[str, int], cos: np.ndarray, co: np.ndarray, delta: float):
+        self._index = index
+        self._cos = cos
+        self._co = co
+        self._values = np.minimum(1.0, np.maximum(0.0, delta * cos + (1.0 - delta) * co))
 
     def __call__(self, a: str, b: str) -> float:
-        return float(self._values[self._rows[a], self._cols[b]])
+        return float(self._values[self._index[a], self._index[b]])
 
-    def block(self, rows: Sequence[str], cols: Sequence[str]) -> np.ndarray:
-        """srel of every pair of `rows` x `cols`, as a new array."""
-        at = np.array([self._rows[a] for a in rows], dtype=np.intp)
-        return self._values[at[:, None], np.array([self._cols[b] for b in cols], dtype=np.intp)]
+    def blend(self, delta: float) -> SrelTable:
+        """The same block at another `delta`."""
+        return SrelTable(self._index, self._cos, self._co, delta)
+
+    def block(self, labels: Sequence[str], extra: Sequence[str]) -> np.ndarray:
+        """srel of every pair of `labels` x (`labels` + `extra`), as a new array."""
+        at = np.array([self._index[a] for a in labels], dtype=np.intp)
+        extra_at = np.array([self._index[b] for b in extra], dtype=np.intp)
+        return self._values[at[:, None], np.concatenate([at, extra_at])]
 
 
 class Relatedness:
     """srel over one store; one per run, shared by every image refined.
 
     Its `delta` is the blend of `srel` and `table`; `candidates.generate`
-    blends each image's `geometry` at that image's own `hp.delta`.
+    blends each image's table again at that image's own `hp.delta`.
 
     Each label's mean embedding vector and its norm are worked out on first
     use and kept for the `LABEL_CACHE` most recently used labels. A label
@@ -96,80 +108,36 @@ class Relatedness:
         # guard against accumulation slop at the boundaries
         return min(1.0, max(0.0, self.delta * cos + (1.0 - self.delta) * co))
 
-    def _matrix(self, labels: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The labels' vectors as rows and their norms; a label with no
-        vector gets a zero row and norm 1, so its cosines come out 0."""
-        zero = np.zeros(self.emb.dim)
-        entries = [self._vector(label) or (zero, 1.0) for label in labels]
-        mat = np.array([vec for vec, _ in entries]).reshape(len(labels), self.emb.dim)
-        return mat, np.array([norm for _, norm in entries])
-
-    def table(self, rows: Sequence[str], cols: Sequence[str]) -> SrelTable:
-        """srel for every pair of `rows` x `cols` at this `delta`: the
-        block's `geometry` blended."""
-        return self.geometry(rows, cols).blend(self.delta)
-
-    def geometry(self, rows: Sequence[str], cols: Sequence[str]) -> SrelGeometry:
-        """The parts of srel over `rows` x `cols` that no `delta` changes,
-        with all the dot products in one matrix product.
+    def table(self, labels: Sequence[str], extra: Sequence[str] = ()) -> SrelTable:
+        """srel at this `delta` for every pair of `labels` x (`labels` +
+        `extra`), with all the dot products in one matrix product.
 
         Labels given twice keep their first place.
         """
-        row_at = {label: i for i, label in enumerate(dict.fromkeys(rows))}
-        col_at = {label: j for j, label in enumerate(dict.fromkeys(cols))}
-        rmat, rnorms = self._matrix(list(row_at))
-        cmat, cnorms = self._matrix(list(col_at))
-        cos = (rmat @ cmat.T) / np.outer(rnorms, cnorms)
+        index = {label: i for i, label in enumerate(dict.fromkeys([*labels, *extra]))}
+        n = len(dict.fromkeys(labels))
+        # a label with no vector gets a zero row and norm 1, so its cosines come out 0
+        zero = np.zeros(self.emb.dim)
+        entries = [self._vector(label) or (zero, 1.0) for label in index]
+        mat = np.array([vec for vec, _ in entries]).reshape(len(index), self.emb.dim)
+        norms = np.array([norm for _, norm in entries])
+        cos = (mat[:n] @ mat.T) / np.outer(norms[:n], norms)
         cos = np.minimum(1.0, np.maximum(0.0, cos))
+        # the matrix product need not sum (a, b) and (b, a) alike; both take
+        # the value computed with the earlier label first. Co-location is
+        # symmetric already, so every blend of the table is too.
+        square, lower = cos[:, :n], np.tril_indices(n, -1)
+        square[lower] = square.T[lower]
 
         co = np.zeros_like(cos)
         coloc, max_count = self.coloc_table, self.coloc_table.max_count
         if max_count:
-            for i, a in enumerate(row_at):
-                for b, n in coloc.neighbors(a).items():
-                    j = col_at.get(b)
+            for i, a in zip(range(n), index):
+                for b, count in coloc.neighbors(a).items():
+                    j = index.get(b)
                     if j is not None:
-                        co[i, j] = n / max_count
-
-        # the matrix product need not sum (a, b) and (b, a) alike; `blend`
-        # copies each such pair's value from the earlier row to the later one
-        shared = [(i, col_at[label]) for label, i in row_at.items() if label in col_at]
-        mirror = None
-        if len(shared) > 1:
-            r, c = np.array(shared).T
-            lower, upper = np.tril_indices(len(shared), -1)
-            mirror = ((r[lower], c[upper]), (r[upper], c[lower]))
-        return SrelGeometry(row_at, col_at, cos, co, mirror)
-
-
-class SrelGeometry:
-    """The clamped cosines and co-location terms of a rows x cols block, and
-    the pairs it holds both ways round; `blend(delta)` makes its `SrelTable`.
-
-    The cosine, co-location, blend and clamps are elementwise float
-    operations in `Relatedness.srel`'s order, so a pair whose cosine is 0
-    for want of a vector gets `srel`'s value bit for bit. A pair of labels
-    found in both rows and cols takes one value, the one computed with the
-    earlier row first. The geometry is only read, so one image can be
-    blended at any number of deltas.
-    """
-
-    __slots__ = ("_rows", "_cols", "_cos", "_co", "_mirror")
-
-    def __init__(self, rows: dict[str, int], cols: dict[str, int], cos: np.ndarray,
-                 co: np.ndarray, mirror):
-        self._rows = rows
-        self._cols = cols
-        self._cos = cos
-        self._co = co
-        self._mirror = mirror  # (later-row cells, their earlier-row twins), or None
-
-    def blend(self, delta: float) -> SrelTable:
-        values = np.minimum(1.0, np.maximum(0.0, delta * self._cos + (1.0 - delta) * self._co))
-        if self._mirror is not None:
-            later, earlier = self._mirror
-            values[later] = values[earlier]
-        return SrelTable(self._rows, self._cols, values)
+                        co[i, j] = count / max_count
+        return SrelTable(index, cos, co, self.delta)
 
 
 def _entry(emb: EmbeddingTable, label: str) -> tuple[np.ndarray, float] | None:
@@ -191,7 +159,7 @@ def image_coherence(top_labels: list[str], rel: Relatedness) -> float:
     """
     if len(top_labels) < 2:
         return 1.0
-    srel = rel.table(top_labels, top_labels)
+    srel = rel.table(top_labels)
     total = 0.0
     pairs = 0
     for i in range(len(top_labels)):

@@ -76,3 +76,10 @@ def json_list(value, kind: type) -> list:
     if type(value) is not list or any(type(x) is not kind for x in value):
         raise ValueError(f"expected a list of {kind.__name__}, got {value!r}")
     return value
+
+
+def json_str(value) -> str:
+    """`value` if it is a string; else ValueError. Ids and pool tags are JSON strings."""
+    if type(value) is not str:
+        raise ValueError(f"expected a string, got {value!r}")
+    return value

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, KeysView
 
 from .errors import LoadError
 from .labels import canon_label
-from .textio import data_lines, tsv_fields
+from .textio import data_lines, json_str, tsv_fields
 
 log = logging.getLogger(__name__)
 
@@ -204,7 +204,7 @@ def similar_set(table: VsimTable, label: str, tau_s: float) -> set[str]:
 def parse_record(obj: dict) -> DetectionRecord:
     """Build a DetectionRecord from one decoded corpus JSON object."""
     try:
-        image_id = str(obj["image"])
+        image_id = json_str(obj["image"])
         boxes = []
         for box_obj in obj.get("boxes", []):
             cands = []
@@ -214,7 +214,7 @@ def parse_record(obj: dict) -> DetectionRecord:
                 if type(conf) not in (float, int):
                     raise ValueError(f"confidence {conf!r} is not a number")
                 cands.append((canon_label(c["label"]), float(conf)))
-            boxes.append(BoundingBox(box_id=str(box_obj["id"]), candidates=tuple(cands)))
+            boxes.append(BoundingBox(box_id=json_str(box_obj["id"]), candidates=tuple(cands)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed detection record: {exc}") from exc
     return DetectionRecord(image_id=image_id, boxes=tuple(boxes))

@@ -50,6 +50,9 @@ NON_NUMBER_CONFS = [True, "0.5"]
 SURROGATE_FIELDS = [{"image": "x\ud800"}, {"box": "b\ud800"},
                     {"labels": ("a", "x\ud800")}]
 
+# ids must be JSON strings: a null, a number or a list is not an id
+NON_STRING_IDS = [{"image": None}, {"image": 7}, {"image": ["i2"]}, {"box": 3.5}]
+
 
 class TestMineVsim:
     def test_writes_sorted_table(self, fixtures_dir, tmp_path, capsys):
@@ -82,6 +85,18 @@ class TestMineVsim:
         corpus = tmp_path / "c.jsonl"
         good = detection_line(image="i1", labels=("a", "b"))
         corpus.write_text(good + "\n" + detection_line(**{"image": "i2", **bad}) + "\n")
+        out = tmp_path / "o.tsv"
+        rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)])
+        assert rc == 0
+        assert out.read_text(encoding="utf-8") == "a\tb\t1.000000\n"
+        assert "1 malformed" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("bad", NON_STRING_IDS)
+    def test_non_string_id_line_skipped(self, tmp_path, capsys, bad):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(detection_line(image="i1", labels=("a", "b")) + "\n"
+                          + detection_line(**{"image": "i2", "labels": ("a", "c"), **bad})
+                          + "\n")
         out = tmp_path / "o.tsv"
         rc = main(["mine-vsim", "--corpus", str(corpus), "--out", str(out)])
         assert rc == 0
@@ -173,6 +188,18 @@ class TestRefine:
 
     @pytest.mark.parametrize("bad", SURROGATE_FIELDS)
     def test_lone_surrogate_line_skipped(self, tmp_path, knowledge_args, capsys, bad):
+        detections = tmp_path / "d.jsonl"
+        detections.write_text(detection_line(image="i1") + "\n"
+                              + detection_line(**{"image": "i2", **bad}) + "\n")
+        out = tmp_path / "refined.jsonl"
+        rc = main(["refine", "--detections", str(detections), "--out", str(out),
+                   *knowledge_args])
+        assert rc == 0
+        assert [r["image"] for r in read_jsonl(out)] == ["i1"]
+        assert "1 malformed detection lines skipped" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bad", NON_STRING_IDS)
+    def test_non_string_id_line_skipped(self, tmp_path, knowledge_args, capsys, bad):
         detections = tmp_path / "d.jsonl"
         detections.write_text(detection_line(image="i1") + "\n"
                               + detection_line(**{"image": "i2", **bad}) + "\n")

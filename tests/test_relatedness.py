@@ -278,21 +278,20 @@ def has_vector(label, table):
     return vec is not None and float(np.linalg.norm(vec)) != 0.0
 
 
-def assert_table_matches_srel(rel, rows, cols):
-    """`rel.table(rows, cols)` against `rel.srel` on every pair: close where a
-    dot product enters, bit-equal where none does, and one value per pair of
-    labels that are both rows and both columns."""
-    table = rel.table(rows, cols)
-    for a in rows:
-        for b in cols:
+def assert_table_matches_srel(rel, labels, extra):
+    """`rel.table(labels, extra)` against `rel.srel` on every pair of labels x
+    (labels + extra): close where a dot product enters, bit-equal where none
+    does, and one value per pair of labels, whichever way it is asked for."""
+    table = rel.table(labels, extra)
+    for a in labels:
+        for b in [*labels, *extra]:
             got, want = table(a, b), rel.srel(a, b)
             assert isinstance(got, float)
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-15), (a, b, got, want)
             if not (has_vector(a, rel.emb) and has_vector(b, rel.emb)):
                 assert got.hex() == want.hex(), (a, b, got, want)
-    both = set(rows) & set(cols)
-    for a in both:
-        for b in both:
+    for a in labels:
+        for b in labels:
             assert table(a, b).hex() == table(b, a).hex(), (a, b)
 
 
@@ -318,10 +317,10 @@ class TestTable:
         # an empty or all-zero map is a store with no co-location (max_count 0)
         counts = data.draw(st.dictionaries(st.tuples(label, label), st.integers(0, 20),
                                            max_size=6))
-        rows = data.draw(st.lists(label, min_size=1, max_size=6))
-        cols = data.draw(st.lists(label, min_size=1, max_size=8))
+        labels = data.draw(st.lists(label, min_size=1, max_size=6))
+        extra = data.draw(st.lists(label, max_size=8))
         table = NO_VECTORS if vectors is None else emb(**dict(zip(TOKENS, vectors)))
-        assert_table_matches_srel(Relatedness(table, ColocTable(counts), delta), rows, cols)
+        assert_table_matches_srel(Relatedness(table, ColocTable(counts), delta), labels, extra)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("store", ["vectors", "no vectors", "no coloc"])
@@ -339,8 +338,9 @@ class TestTable:
         if store == "no coloc":
             counts = {}
         rel = Relatedness(table, ColocTable(counts), delta=delta)
-        assert_table_matches_srel(rel, labels[:6], labels)
-        assert_table_matches_srel(rel, labels[::-1], labels[2:])
+        assert_table_matches_srel(rel, labels[:6], labels[6:])
+        # extra labels that are also labels keep their place among the labels
+        assert_table_matches_srel(rel, labels[5::-1], labels[2:])
 
     def test_blends_of_one_geometry_leave_it_unchanged(self):
         rng = np.random.default_rng(3)
@@ -348,22 +348,26 @@ class TestTable:
         table = EmbeddingTable(dim=5, vectors={w: rng.normal(size=5) for w in words})
         labels = [*words, "w0 w1", "w2 w3 w4", "oov"]
         cl = ColocTable({(labels[i], labels[i + 3]): i + 1 for i in range(len(labels) - 3)})
-        # rows and columns share most labels, so blends copy symmetric pairs
-        rows, cols = labels[:9], labels[2:] + ["w1"]
-        geometry = Relatedness(table, cl).geometry(rows, cols)
-        for delta in (0.3, 0.8, 0.3, 1.0, 0.0, 0.3):
-            got = geometry.blend(delta).block(rows, cols)
-            want = Relatedness(table, cl, delta=delta).table(rows, cols).block(rows, cols)
-            assert got.tobytes() == want.tobytes(), delta
+        # most extra labels are labels too, so the cosine square is mirrored
+        head, extra = labels[:9], labels[2:] + ["w1"]
+        shared = Relatedness(table, cl).table(head, extra)
 
-    def test_labels_outside_the_block_are_key_errors(self):
+        def fresh(delta):
+            return Relatedness(table, cl, delta=delta).table(head, extra).block(head, extra)
+
+        for delta in (0.3, 0.8, 0.3, 1.0, 0.0, 0.3):
+            got = shared.blend(delta).block(head, extra)
+            assert got.tobytes() == fresh(delta).tobytes(), delta
+        assert shared.block(head, extra).tobytes() == fresh(0.5).tobytes()
+
+    def test_labels_outside_the_block_are_lookup_errors(self):
         rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8], c=[0.0, 1.0]),
                           ColocTable({("a", "c"): 3}), delta=0.5)
         table = rel.table(["a"], ["b", "c"])
         assert table("a", "c") == rel.srel("a", "c")
-        with pytest.raises(KeyError):
-            table("c", "a")  # "c" is not a row
-        with pytest.raises(KeyError):
+        with pytest.raises(LookupError):
+            table("c", "a")  # "c" is not one of the labels
+        with pytest.raises(LookupError):
             table("a", "z")
 
 

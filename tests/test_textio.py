@@ -52,7 +52,20 @@ WRONG_TYPES = {
                     "bad judgment record"),
     "refined-number": ("refined", '{"image": "i1", "labels": '
                        '[{"label": 5, "space": "CL", "box": "b"}]}', "bad refined record"),
+    # ids are JSON strings; str() would read these as 'None', '7' and "['i2']"
+    "gold-image-null": ("gold", '{"image": null, "labels": ["a"]}', "bad gold record"),
+    "gold-image-list": ("gold", '{"image": ["i2"], "labels": ["a"]}', "bad gold record"),
+    "judgments-image-number": ("judgments", '{"image": 7, "pool": "CL", "labels": {"a": [2]}}',
+                               "bad judgment record"),
+    "judgments-image-null": ("judgments", '{"image": null, "pool": "CL", '
+                             '"labels": {"a": [2]}}', "bad judgment record"),
+    "refined-image-number": ("refined", '{"image": 7, "labels": []}', "bad refined record"),
+    "refined-image-list": ("refined", '{"image": ["i2"], "labels": []}', "bad refined record"),
 }
+
+# detection fields that must be JSON strings, set to a null, a number or a list
+NON_STRING_DETECTION_IDS = [{"image": None}, {"image": 7}, {"image": ["i2"]},
+                            {"box": 3.5}, {"box": None}, {"box": ["b"]}]
 
 
 def write(tmp_path, lines):
@@ -115,6 +128,16 @@ def test_wrong_field_type_reported_by_number(case, tmp_path):
         read(path)
     assert info.value.line == 2
     assert f"{path}:2: {message}: " in str(info.value)
+
+
+@pytest.mark.parametrize("bad", NON_STRING_DETECTION_IDS)
+def test_non_string_detection_id_skipped(bad, tmp_path):
+    fields = {"image": "i2", "box": "b", **bad}
+    line = json.dumps({"image": fields["image"], "boxes": [
+        {"id": fields["box"], "candidates": [{"label": "a", "conf": 0.5}]}]})
+    records, skipped = read_detections_jsonl(write(tmp_path, [DETECTION, line]))
+    assert [r.image_id for r in records] == ["i1"]
+    assert skipped == 1
 
 
 @pytest.mark.parametrize("name, message", [("gold", "bad gold record"),

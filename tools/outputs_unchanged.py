@@ -12,7 +12,10 @@ WORK/change with the same relative output paths:
   `--dump-lp`, with `--budget none --visir-star`, and with
   `--select-incoherent`;
 * `tune`: the benchmark's `tune` run and its trial log;
-* `mine`: the benchmark's `mine-vsim` run and its `vsim.tsv`.
+* `mine`: the benchmark's `mine-vsim` run and its `vsim.tsv`;
+* `fixture`: on BASE's `tests/fixtures` (only read), `mine-vsim`, then
+  `refine` with the mined table, then `eval` of that output against the
+  judgments, then `tune` with the gold labels.
 
 Every file written, and every command's standard output and error, must be
 the same byte for byte in both trees. Exits 1, naming each file that differs
@@ -33,13 +36,35 @@ REFINE_VARIANTS = {
     "budget-none-visir-star": ["--budget", "none", "--visir-star"],
     "select-incoherent": ["--select-incoherent"],
 }
+# {fx} is the fixtures directory, {out} the chain's output directory
+FIXTURE_STORE = ["--vsim", "{out}/vsim.tsv", "--embeddings", "{fx}/embeddings.txt",
+                 "--hypernyms", "{fx}/hypernyms.tsv", "--assertions", "{fx}/assertions.tsv",
+                 "--coloc", "{fx}/coloc.tsv", "--allowlist", "{fx}/allowlist.tsv"]
+FIXTURE_CHAIN = {
+    "mine-vsim": ["mine-vsim", "--corpus", "{fx}/corpus.jsonl", "--out", "{out}/vsim.tsv"],
+    "refine": ["refine", "--detections", "{fx}/detections.jsonl",
+               "--out", "{out}/refined.jsonl", *FIXTURE_STORE],
+    "eval": ["eval", "--system", "{out}/refined.jsonl", "--judgments", "{fx}/judgments.jsonl",
+             "--out", "{out}/metrics.tsv"],
+    "tune": ["tune", "--train", "{fx}/detections.jsonl", "--gold", "{fx}/gold.jsonl",
+             "--trials", "5", "--seed", "11", "--out", "{out}/trials.tsv", *FIXTURE_STORE],
+}
 
 
 def env(tree: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
 
-def run_all(tree: Path, side: Path, data: Path) -> None:
+def run(tree: Path, side: Path, log: str, argv: list[str]) -> None:
+    """`tree`'s program on `argv`, in `side`; its standard output and error
+    go to `log`/stdout and `log`/stderr."""
+    (side / log).mkdir(parents=True)
+    with open(side / log / "stdout", "wb") as so, open(side / log / "stderr", "wb") as se:
+        subprocess.run([sys.executable, "-m", "tagrefine.cli", *argv], cwd=side,
+                       env=env(tree), stdout=so, stderr=se, check=True)
+
+
+def run_all(tree: Path, side: Path, data: Path, fixtures: Path) -> None:
     """Every command of the comparison, with `tree`'s program, under `side`."""
     from workloads import WORKLOADS, command_argv
 
@@ -47,11 +72,10 @@ def run_all(tree: Path, side: Path, data: Path) -> None:
         variants = REFINE_VARIANTS if name in ("paper", "wide") else {"bench": []}
         for variant, extra in variants.items():
             out = f"{name}/{variant}"
-            (side / out).mkdir(parents=True)
-            argv = [*command_argv(w, str(data / name), out), *(a.format(out=out) for a in extra)]
-            with open(side / out / "stdout", "wb") as so, open(side / out / "stderr", "wb") as se:
-                subprocess.run([sys.executable, "-m", "tagrefine.cli", *argv], cwd=side,
-                               env=env(tree), stdout=so, stderr=se, check=True)
+            run(tree, side, out, [*command_argv(w, str(data / name), out),
+                                  *(a.format(out=out) for a in extra)])
+    for step, argv in FIXTURE_CHAIN.items():
+        run(tree, side, f"fixture/{step}", [a.format(fx=fixtures, out="fixture") for a in argv])
 
 
 def files(root: Path) -> dict[Path, bytes]:
@@ -77,8 +101,9 @@ def main(argv=None) -> int:
                             "--workload", name, "--seed", str(SEED),
                             "--out", str(data / name)],
                            env=env(base), check=True, stdout=subprocess.DEVNULL)
-    run_all(base, work / "base", data)
-    run_all(change, work / "change", data)
+    fixtures = base / "tests" / "fixtures"
+    run_all(base, work / "base", data, fixtures)
+    run_all(change, work / "change", data, fixtures)
 
     before, after = files(work / "base"), files(work / "change")
     differ = sorted(p for p in before.keys() | after.keys() if before.get(p) != after.get(p))
