@@ -75,19 +75,24 @@ def asserted_objects(
     return supporting
 
 
+def phrase_cnet(supporting: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
+    """Per phrase from `asserted_objects`, its cnet: its strongest assertion score."""
+    return {obj: max(scores.values()) for obj, scores in supporting.items()}
+
+
 def rank_abstract(
-    supporting: Mapping[str, Mapping[str, float]], cap: int, srel_fn: SrelFn
+    supporting: Mapping[str, Mapping[str, float]], cnet: Mapping[str, float], cap: int,
+    srel_fn: SrelFn,
 ) -> list[AbstractCandidate]:
-    """Abstract candidates from `asserted_objects`, ranked by their best
-    support, ties broken lexicographically, and truncated to `cap` to keep
-    the joint selection tractable."""
+    """Abstract candidates from `asserted_objects` and their `phrase_cnet`,
+    ranked by their best support, ties broken lexicographically, and
+    truncated to `cap` to keep the joint selection tractable."""
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
     out: list[AbstractCandidate] = []
     for obj, scores in supporting.items():
-        cnet = max(scores.values())
-        aconf = max(cnet * srel_fn(subject, obj) for subject in scores)
-        out.append(AbstractCandidate(label=obj, cnet=cnet, aconf=aconf))
+        aconf = max(cnet[obj] * srel_fn(subject, obj) for subject in scores)
+        out.append(AbstractCandidate(label=obj, cnet=cnet[obj], aconf=aconf))
     out.sort(key=lambda c: (-c.aconf, c.label))
     return out[:cap]
 
@@ -99,6 +104,7 @@ class ImageLabels:
     # its hypernym labels
     boxes: list[tuple[str, list[VisualCandidate], list[str]]]
     supporting: dict[str, dict[str, float]]  # `asserted_objects` of the visual labels
+    cnet: dict[str, float]  # `phrase_cnet` of `supporting`
     table: SrelTable | None  # the image's srel, given a `Relatedness`
 
 
@@ -106,8 +112,9 @@ def image_labels(
     record: DetectionRecord, store: KnowledgeStore, tau_s: float, srel: Relatedness | SrelFn
 ) -> ImageLabels:
     """Each box's original, similar and hypernym labels at `tau_s`, the
-    phrases asserted about them and, given a `Relatedness`, the srel table
-    of the visual labels x (the visual labels + those phrases)."""
+    phrases asserted about them with their cnet and, given a `Relatedness`,
+    the srel table of the visual labels x (the visual labels + those
+    phrases)."""
     boxes = []
     visual: dict[str, None] = {}
     for box in record.boxes:
@@ -126,7 +133,7 @@ def image_labels(
     supporting = asserted_objects(visual, store.by_subject)
     table = srel.table(list(visual), sorted(supporting)) \
         if isinstance(srel, Relatedness) else None
-    return ImageLabels(boxes, supporting, table)
+    return ImageLabels(boxes, supporting, phrase_cnet(supporting), table)
 
 
 def generate(
@@ -170,6 +177,6 @@ def generate(
     return CandidateSets(
         box_ids=tuple(box.box_id for box in record.boxes),
         per_box=per_box,
-        abstract=rank_abstract(labels.supporting, hp.abstract_cap, srel_fn),
+        abstract=rank_abstract(labels.supporting, labels.cnet, hp.abstract_cap, srel_fn),
         srel=srel_fn,
     )

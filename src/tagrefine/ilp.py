@@ -22,21 +22,35 @@ fills them from one block of the image's srel table, and the instance's `z`
 and `w` list the nonzero terms by variable, for the LP dump. `solve_exact`
 reads the arrays in place and carries its state down the search: the unary +
 Z value of the boxes decided so far, what each candidate of every later box
-would add to it, and the running gain of every abstract candidate. A node
-bounds all its children -- each candidate of its box, then "no label" -- in
-one vectorized call, and cuts a child when its budget-aware bound -- the
-best split of the labels still allowed between the remaining boxes and the
-capped abstract subset -- falls below the incumbent. Each child is compared
-just before it is entered, since the incumbent improves between siblings.
-When v more boxes are labelled, a box can add at most its carried value plus
-half its v - 1 best partners among the remaining boxes (each pair is shared
-by its two ends), and an abstract candidate at most its current gain plus
-its best W on v of the remaining boxes. At a leaf the bound is the carried
-objective itself, so only leaves that could still be best pay for the
-canonical `objective_value` and the tie-break key; both reuse the carried
-abstract gains, which are the same sums in the same order. (This is MAP
-inference with a cardinality constraint, solved by depth-first branch and
-bound; see Marinescu & Dechter, AIJ 2009.)
+would add to it, and the running gain of every abstract candidate. A search
+node is of one of two kinds.
+
+* Once the boxes still to decide have at most `WHOLE_MAX_CHOICES` joint
+  choices (or one box is left), the node solves them whole. In one pass of
+  array operations it scores every joint choice: the carried value plus the
+  choices' own values and the Z among them, and the best sum of abstract
+  gains that the slots left allow. The gains are the carried ones plus each
+  chosen W row, added box by box, so they are bit for bit those of a
+  branching search. The feasible choices are then evaluated best score
+  first, until a score falls below the incumbent. A small image's root is
+  such a node, and its search builds no bound tables at all.
+* Above that depth a node branches: it bounds all its children -- each
+  candidate of its box, then "no label" -- in one vectorized call, and cuts
+  a child when its budget-aware bound -- the best split of the labels still
+  allowed between the remaining boxes and the capped abstract subset --
+  falls below the incumbent. Each child is compared just before it is
+  entered, since the incumbent improves between siblings. When v more boxes
+  are labelled, a box can add at most its carried value plus half its v - 1
+  best partners among the remaining boxes (each pair is shared by its two
+  ends), and an abstract candidate at most its current gain plus its best W
+  on v of the remaining boxes.
+
+A choice's score is its objective up to rounding, so only choices that
+could still be best pay for the canonical `objective_value` and the
+tie-break key; both reuse the carried abstract gains, which are the same
+sums in the same order. (This is MAP inference with a cardinality
+constraint, solved by depth-first branch and bound; see Marinescu &
+Dechter, AIJ 2009.)
 
 Ties are broken by preferring the lexicographically smallest chosen-label
 multiset, then fewer labels, then labeling earlier boxes. `brute_force`
@@ -65,6 +79,12 @@ from .relatedness import SrelTable
 from .scoring import MAX_ABSTRACT_LABELS, Hyperparameters, SrelFn
 
 BRUTE_FORCE_MAX_STATES = 10_000_000
+# A search node with at most this many joint choices left solves them whole,
+# in arrays of at most this many (or the widest box + 1) x (abstract + 1)
+# floats. Measured on the benchmark's refine workloads (README, Execution
+# model): 256 leaves the 3-7 box images' solves as fast as branching and
+# speeds up the 1-3 box images' about 2x; 1024 slows the former.
+WHOLE_MAX_CHOICES = 256
 _PRUNE_EPS = 1e-9
 
 
@@ -277,21 +297,13 @@ def _best_abstract(inst: IlpInstance, choice: Sequence[int | None], allowance: i
 
 # --- solvers --------------------------------------------------------------------
 
-def solve_exact(inst: IlpInstance) -> Assignment:
-    """Branch and bound over per-box choices with exact abstract completion.
-
-    Carried state, bound and leaf filter are described in the module
-    docstring. The prune test is strict (`< best - eps`), so every tied
-    optimum is still evaluated and the tie-break chain decides among them.
-    """
+def _child_bounds(inst: IlpInstance, budget: int, visual_cap: int, max_abs: int):
+    """The bound tables of `solve_exact`'s branching nodes, built once per
+    solve: returns `bounds(i, values, n_vis, gains, deltas)`, admissible per
+    child of box i - 1, and per box its children in search order."""
     n, n_abs = inst.n_boxes, inst.n_abstract
     sizes = [len(labels) for labels in inst.box_labels]
     unary, zcoef, wcoef = inst.unary, inst.zcoef, inst.wcoef
-
-    max_abs = min(inst.max_abstract, n_abs)
-    no_limit = n + max_abs
-    budget = no_limit if inst.budget is None else inst.budget
-    visual_cap = no_limit if inst.visual_cap is None else inst.visual_cap
 
     # partner[m, j, p]: the most candidate j of box m can gain with box p;
     # Z is zero unless i < m, so the two halves do not overlap
@@ -300,18 +312,20 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     # Tables per depth i, over the boxes i..n-1. A box before i counts as 0
     # in every sort: the sums below take at most the n - i largest values,
     # and every value is >= 0, so they come out the same.
-    after = np.arange(n) >= np.arange(n + 1)[:, None]  # after[i, p]: box p is not before i
+    after = np.arange(n) >= np.arange(n)[:, None]  # after[i, p]: box p is not before i
     # zshare[i, v - 1, m, j]: half the v - 1 best partners of candidate j of
     # box m among the other boxes i..n-1. When v of those boxes are
     # labelled, each pair between them is shared by its two ends.
     most = max(min(n, budget, visual_cap) - 1, 0)
     among = -np.sort(-np.where(after[:, None, None], partner, 0.0), axis=3)[..., :most]
-    zshare = np.zeros((n + 1, most + 1, *unary.shape))
+    zshare = np.zeros((n, most + 1, *unary.shape))
     zshare[:, 1:] = 0.5 * np.cumsum(among, axis=3).transpose(0, 3, 1, 2)
     # wtop[i, v, k]: the most v of the boxes i..n-1 can add to abstract gain k
     wmax = wcoef.max(axis=1)
-    wtop = np.zeros((n + 1, n + 1, n_abs))
+    wtop = np.zeros((n, n + 1, n_abs))
     wtop[:, 1:] = np.cumsum(-np.sort(-np.where(after[:, :, None], wmax, 0.0), axis=1), axis=1)
+    # take[s, v]: how many abstract candidates fit in s slots beside v boxes
+    take = np.clip(np.arange(budget + 1)[:, None] - np.arange(n + 1), 0, max_abs)
 
     # children per box: candidates by strongest static potential first
     # (search speed only; the final answer is the key-minimal assignment
@@ -321,15 +335,6 @@ def solve_exact(inst: IlpInstance) -> Assignment:
         sorted(range(sizes[i]), key=lambda j: (-(unary[i, j] + zpot[i, j]), j)) + [sizes[i]]
         for i in range(n)
     ]
-
-    best_key: tuple | None = None
-    best_obj = -math.inf
-    best_choice: tuple[int | None, ...] = ()
-    best_abstract: tuple[int, ...] = ()
-    choice: list[int | None] = [None] * n
-
-    # take[s, v]: how many abstract candidates fit in s slots beside v boxes
-    take = np.clip(np.arange(budget + 1)[:, None] - np.arange(n + 1), 0, max_abs)
 
     def bounds(i: int, values, n_vis: int, gains, deltas) -> np.ndarray:
         """Admissible, per child of box i - 1 (row c of each argument is
@@ -359,6 +364,41 @@ def solve_exact(inst: IlpInstance) -> Assignment:
             split[:-1, n_box] = -np.inf
         return values + split.max(axis=1)
 
+    return bounds, order
+
+
+def solve_exact(inst: IlpInstance) -> Assignment:
+    """Branch and bound over per-box choices with exact abstract completion.
+
+    Carried state, bounds, the two kinds of node and the leaf filter are
+    described in the module docstring. The prune test is strict
+    (`< best - eps`), so every tied optimum is still evaluated and the
+    tie-break chain decides among them.
+    """
+    n, n_abs = inst.n_boxes, inst.n_abstract
+    sizes = [len(labels) for labels in inst.box_labels]
+    zcoef, wcoef = inst.zcoef, inst.wcoef
+
+    max_abs = min(inst.max_abstract, n_abs)
+    no_limit = n + max_abs
+    budget = no_limit if inst.budget is None else inst.budget
+    visual_cap = no_limit if inst.visual_cap is None else inst.visual_cap
+    # the nodes at depth `whole_at` solve the boxes left whole: the first
+    # depth with at most WHOLE_MAX_CHOICES joint choices left, or one box
+    whole_at = 0
+    while whole_at < n - 1 and math.prod(s + 1 for s in sizes[whole_at:]) > WHOLE_MAX_CHOICES:
+        whole_at += 1
+    # the most boxes that can be labelled, and allowance[v]: how many
+    # abstract candidates fit beside v labelled boxes
+    n_most = min(budget, visual_cap)
+    allowance = np.array([_abstract_allowance(inst, v) for v in range(n + 1)])
+
+    best_key: tuple | None = None
+    best_obj = -math.inf
+    best_choice: tuple[int | None, ...] = ()
+    best_abstract: tuple[int, ...] = ()
+    choice: list[int | None] = [None] * n
+
     def leaf(n_vis: int, gains) -> None:
         nonlocal best_key, best_obj, best_choice, best_abstract
         # the carried gains are `_abstract_gains` summed in the same order
@@ -371,16 +411,55 @@ def solve_exact(inst: IlpInstance) -> Assignment:
             best_choice = tuple(choice)
             best_abstract = abstract
 
+    def whole(i: int, value: float, n_vis: int, gains, deltas) -> None:
+        """Scores every joint choice of the boxes i..n-1 at once: the carried
+        value, their deltas and the Z among them, plus the best abstract
+        subset their slots allow. Then evaluates the feasible choices, best
+        score first, until a score falls below the incumbent."""
+        dims = [s + 1 for s in sizes[i:]]
+        # shapes[a]: box i + a's children along axis a of the grid of choices
+        shapes = [(1,) * a + (d,) + (1,) * (len(dims) - a - 1) for a, d in enumerate(dims)]
+        scores = np.asarray(value)
+        n_labelled = np.asarray(n_vis)
+        kid_gains = gains
+        for a, d in enumerate(dims):
+            scores = scores + deltas[a, :d].reshape(shapes[a])
+            for b in range(a):
+                pair = zcoef[i + b, : dims[b], i + a, :d]
+                scores = scores + pair.reshape(shapes[b][:a] + shapes[a][a:])
+            n_labelled = n_labelled + (np.arange(d) < d - 1).reshape(shapes[a])
+            # box by box, as the branching nodes add them
+            kid_gains = kid_gains + wcoef[i + a, :d].reshape(*shapes[a], n_abs)
+        scores, n_labelled = scores.ravel(), n_labelled.ravel()
+        kid_gains = kid_gains.reshape(len(scores), n_abs)
+        if max_abs:
+            # top[t, c]: the t best abstract gains of choice c
+            top = np.zeros((max_abs + 1, len(scores)))
+            np.cumsum(np.sort(kid_gains, axis=1)[:, : -max_abs - 1 : -1].T, axis=0, out=top[1:])
+            scores += top[allowance[n_labelled], np.arange(len(scores))]
+        # the incumbent only rises, so a choice scored below it now stays out
+        live = np.flatnonzero((n_labelled <= n_most) & (scores >= best_obj - _PRUNE_EPS))
+        ranked = live[np.argsort(-scores[live], kind="stable")]
+        for c, score in zip(ranked.tolist(), scores[ranked].tolist()):
+            if score < best_obj - _PRUNE_EPS:
+                break
+            rest = c
+            for m in reversed(range(i, n)):
+                rest, j = divmod(rest, sizes[m] + 1)
+                choice[m] = None if j == sizes[m] else j
+            leaf(int(n_labelled[c]), kid_gains[c])
+        choice[i:] = [None] * (n - i)
+
     def dfs(i: int, value: float, n_vis: int, gains, deltas) -> None:
         """`deltas[m - i, j]`: what candidate j of box m adds with the
         boxes decided so far (its unary plus its Z to their choices).
 
-        Bounds every child of box i in one call, and compares each with the
+        At depth `whole_at`, solves the boxes left whole. Above it, bounds
+        every child of box i in one call, and compares each with the
         incumbent just before entering it, since the incumbent improves
-        between siblings. At a leaf the bound is the carried objective
-        itself, up to rounding."""
-        if i == n:
-            leaf(n_vis, gains)
+        between siblings."""
+        if i == whole_at:
+            whole(i, value, n_vis, gains, deltas)
             return
         none = sizes[i]
         # once the budget or the visual cap is reached, "no label" is the only child
@@ -398,7 +477,10 @@ def solve_exact(inst: IlpInstance) -> Assignment:
             dfs(i + 1, values[c], n_vis + (j != none), kid_gains[c], kid_deltas[c])
         choice[i] = None
 
-    dfs(0, 0.0, 0, np.zeros(n_abs), unary)
+    if whole_at:
+        # only branching nodes read the bound tables
+        bounds, order = _child_bounds(inst, budget, visual_cap, max_abs)
+    dfs(0, 0.0, 0, np.zeros(n_abs), inst.unary)
     return Assignment(best_choice, best_abstract, best_obj)
 
 

@@ -2,6 +2,7 @@ import pathlib
 
 import pytest
 
+from tagrefine import ilp
 from tagrefine.knowledge import (
     KnowledgeStore,
     load_allowlist,
@@ -40,3 +41,10 @@ def fixture_store() -> KnowledgeStore:
         coloc=load_coloc(FIXTURES / "coloc.tsv"),
         vsim=finalize(accumulate(corpus)),
     )
+
+
+@pytest.fixture
+def every_node_branches(monkeypatch):
+    """`ilp.solve_exact` branches at every node but the one that decides the
+    last box, instead of solving small searches whole."""
+    monkeypatch.setattr(ilp, "WHOLE_MAX_CHOICES", 0)

@@ -44,6 +44,9 @@ def random_instance(
     max_abstract: int = 4,
     min_abstract: int = 0,
     quantize_prob: float = 0.5,
+    min_boxes: int = 1,
+    min_cands: int = 1,
+    density: float = 0.6,
     allow_visir: bool = True,
     budgets=(None, 1, 2, 3, 5, 8),
 ) -> IlpInstance:
@@ -52,10 +55,10 @@ def random_instance(
             return rng.randrange(0, 9) * 0.25
         return rng.random() * 2.0
 
-    n_boxes = rng.randint(1, max_boxes)
+    n_boxes = rng.randint(min_boxes, max_boxes)
     box_labels, unary = [], []
     for _ in range(n_boxes):
-        cands = rng.sample(LABEL_POOL, rng.randint(1, max_cands))
+        cands = rng.sample(LABEL_POOL, rng.randint(min_cands, max_cands))
         box_labels.append(tuple(cands))
         unary.append(tuple(score() for _ in cands))
 
@@ -66,7 +69,7 @@ def random_instance(
         for m in range(i + 1, n_boxes):
             for j in range(len(box_labels[i])):
                 for k in range(len(box_labels[m])):
-                    if rng.random() < 0.6:
+                    if rng.random() < density:
                         val = score()
                         if val > 0.0:
                             z[(i, j, m, k)] = val
@@ -74,7 +77,7 @@ def random_instance(
     for k in range(len(abstract)):
         for i in range(n_boxes):
             for j in range(len(box_labels[i])):
-                if rng.random() < 0.6:
+                if rng.random() < density:
                     val = score()
                     if val > 0.0:
                         w[(i, j, k)] = val

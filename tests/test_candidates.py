@@ -5,6 +5,7 @@ from tagrefine.candidates import (
     expand_hypernyms,
     expand_similar,
     generate,
+    phrase_cnet,
     rank_abstract,
 )
 from tagrefine.errors import ConfigError
@@ -25,7 +26,8 @@ FLAT_SREL = lambda a, b: 0.5
 
 def generate_abstract(visual, by_subject, cap, srel_fn):
     """Abstract candidates for a set of visual labels, as `generate` ranks them."""
-    return rank_abstract(asserted_objects(visual, by_subject), cap, srel_fn)
+    supporting = asserted_objects(visual, by_subject)
+    return rank_abstract(supporting, phrase_cnet(supporting), cap, srel_fn)
 
 
 def by_subject(tmp_path, assertions):

@@ -1,4 +1,5 @@
 import io
+import math
 import random
 from dataclasses import replace
 
@@ -222,13 +223,15 @@ class TestSolveExact:
         assert len(out.abstract) == 5
         assert out == brute_force(inst)
 
-    def test_matches_oracle_on_random_instances(self):
+    @staticmethod
+    def check_random_instances():
         rng = random.Random(20240817)
         for _ in range(150):
             inst = random_instance(rng)
             assert solve_exact(inst) == brute_force(inst)
 
-    def test_matches_oracle_when_the_abstract_cap_binds(self):
+    @staticmethod
+    def check_capped_instances():
         # up to 8 abstract candidates against the cap of 5
         rng = random.Random(5150)
         capped = 0
@@ -238,6 +241,50 @@ class TestSolveExact:
             assert out == brute_force(inst)
             capped += len(out.abstract) == inst.max_abstract < inst.n_abstract
         assert capped >= 20
+
+    def test_matches_oracle_on_random_instances(self):
+        self.check_random_instances()
+
+    def test_matches_oracle_on_random_instances_when_every_node_branches(
+            self, every_node_branches):
+        self.check_random_instances()
+
+    def test_matches_oracle_when_the_abstract_cap_binds(self):
+        self.check_capped_instances()
+
+    def test_matches_oracle_when_the_abstract_cap_binds_and_every_node_branches(
+            self, every_node_branches):
+        self.check_capped_instances()
+
+    def test_matches_oracle_when_only_the_root_branches(self, monkeypatch):
+        # (L, 2L] joint choices: too many for the root to solve whole, and at
+        # most L for each of its children, which have at least one box fewer
+        most = ilp.WHOLE_MAX_CHOICES
+        branched = 0
+        real = ilp._child_bounds
+
+        def counted(*args):
+            nonlocal branched
+            branched += 1
+            return real(*args)
+
+        monkeypatch.setattr(ilp, "_child_bounds", counted)
+        rng = random.Random(31337)
+        solved = no_abstract = 0
+        while solved < 40:
+            inst = random_instance(rng, max_boxes=4, max_cands=7, max_abstract=3)
+            if not most < math.prod(len(labels) + 1 for labels in inst.box_labels) <= 2 * most:
+                continue
+            assert solve_exact(inst) == brute_force(inst)
+            solved += 1
+            no_abstract += inst.n_abstract == 0
+        assert branched == solved
+        assert no_abstract > 0
+
+    def test_boxless_instance_takes_no_abstract_label(self):
+        inst = instance(box_labels=(), unary=(), abstract_labels=("a0", "a1"),
+                        z={}, w={}, budget=None, visual_cap=None)
+        assert solve_exact(inst) == brute_force(inst) == Assignment((), (), 0.0)
 
     def test_identical_runs_bit_identical(self):
         rng = random.Random(7)
@@ -296,7 +343,7 @@ class TestSearchEffort:
 
         monkeypatch.setattr(ilp, "objective_value", counted)
         out = solve_exact(inst)
-        assert calls == 9
+        assert calls == 7
         assert out.objective_value.hex() == "0x1.2be0986151742p+5"
         assert out.objective_value == real(inst, out.choice, out.abstract)
 

@@ -81,22 +81,45 @@ def solve_with_milp(inst: IlpInstance) -> float:
     return -result.fun
 
 
-@pytest.mark.parametrize("seed", [11, 222, 3333])
-def test_objective_matches_independent_milp(seed):
-    rng = random.Random(seed)
-    for _ in range(15):
-        inst = random_instance(rng)
+def assert_matches_milp(rng, count, **draw):
+    for _ in range(count):
+        inst = random_instance(rng, **draw)
         ours = solve_exact(inst).objective_value
         theirs = solve_with_milp(inst)
         assert ours == pytest.approx(theirs, abs=1e-7)
+
+
+# 6-10 abstract candidates against the cap of 5
+MANY_ABSTRACT = dict(max_boxes=6, max_cands=5, min_abstract=6, max_abstract=10)
+
+
+@pytest.mark.parametrize("seed", [11, 222, 3333])
+def test_objective_matches_independent_milp(seed):
+    assert_matches_milp(random.Random(seed), 15)
+
+
+@pytest.mark.parametrize("seed", [11, 222, 3333])
+def test_objective_matches_independent_milp_when_every_node_branches(seed, every_node_branches):
+    assert_matches_milp(random.Random(seed), 15)
 
 
 @pytest.mark.parametrize("seed", [44, 555])
 def test_objective_matches_milp_with_many_abstract_candidates(seed):
-    # 6-10 abstract candidates against the cap of 5
-    rng = random.Random(seed)
-    for _ in range(6):
-        inst = random_instance(rng, max_boxes=6, max_cands=5, min_abstract=6, max_abstract=10)
-        ours = solve_exact(inst).objective_value
-        theirs = solve_with_milp(inst)
-        assert ours == pytest.approx(theirs, abs=1e-7)
+    assert_matches_milp(random.Random(seed), 6, **MANY_ABSTRACT)
+
+
+@pytest.mark.parametrize("seed", [44, 555])
+def test_objective_matches_milp_with_many_abstract_candidates_when_every_node_branches(
+        seed, every_node_branches):
+    assert_matches_milp(random.Random(seed), 6, **MANY_ABSTRACT)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("budget", [5, None])
+@pytest.mark.parametrize("n_boxes", [6, 7])
+def test_objective_matches_milp_on_paper_sized_instances(n_boxes, budget):
+    # 10 candidates per box, as in the paper; sparse Z and W keep HiGHS to
+    # seconds per instance (budget 5 is the harder one for it)
+    rng = random.Random(100 * n_boxes + (budget or 0))
+    assert_matches_milp(rng, 3, min_boxes=n_boxes, max_boxes=n_boxes, min_cands=10,
+                        max_cands=10, min_abstract=4, density=0.1, budgets=(budget,))
