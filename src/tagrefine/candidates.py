@@ -11,6 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+import numpy as np
+
 from .errors import ConfigError
 from .knowledge import KnowledgeStore
 from .labels import Origin
@@ -75,26 +77,57 @@ def asserted_objects(
     return supporting
 
 
-def phrase_cnet(supporting: Mapping[str, Mapping[str, float]]) -> dict[str, float]:
-    """Per phrase from `asserted_objects`, its cnet: its strongest assertion score."""
-    return {obj: max(scores.values()) for obj, scores in supporting.items()}
+@dataclass
+class Supports:
+    """The phrases of `asserted_objects`, sorted, and the visual labels that
+    support each, grouped by phrase in that order."""
+    phrases: list[str]
+    cnet: np.ndarray  # per phrase, its strongest assertion score
+    subjects: list[str]  # per support, its visual label
+    counts: np.ndarray  # per phrase, its number of supports
+
+    def srel(self, srel_fn: SrelFn) -> np.ndarray:
+        """srel of every support, one call per (visual label, phrase) pair."""
+        objs = (obj for obj, n in zip(self.phrases, self.counts.tolist()) for _ in range(n))
+        return np.array([srel_fn(subject, obj) for subject, obj in zip(self.subjects, objs)],
+                        dtype=float)
+
+    def positions(self, table: SrelTable) -> tuple[np.ndarray, np.ndarray]:
+        """Where every support sits in `table`, for `SrelTable.at`."""
+        return table.indices(self.subjects), np.repeat(table.indices(self.phrases), self.counts)
 
 
-def rank_abstract(
-    supporting: Mapping[str, Mapping[str, float]], cnet: Mapping[str, float], cap: int,
-    srel_fn: SrelFn,
-) -> list[AbstractCandidate]:
-    """Abstract candidates from `asserted_objects` and their `phrase_cnet`,
-    ranked by their best support, ties broken lexicographically, and
-    truncated to `cap` to keep the joint selection tractable."""
+def phrase_supports(supporting: Mapping[str, Mapping[str, float]]) -> Supports:
+    """`Supports` of what `asserted_objects` returns."""
+    phrases = sorted(supporting)
+    return Supports(
+        phrases=phrases,
+        cnet=np.array([max(supporting[obj].values()) for obj in phrases], dtype=float),
+        subjects=[subject for obj in phrases for subject in supporting[obj]],
+        counts=np.array([len(supporting[obj]) for obj in phrases], dtype=np.intp),
+    )
+
+
+def rank_abstract(supports: Supports, srel: np.ndarray, cap: int) -> list[AbstractCandidate]:
+    """Abstract candidates ranked by their best support, ties broken
+    lexicographically, and truncated to `cap` to keep the joint selection
+    tractable.
+
+    `srel` holds the srel of each support, in `supports.subjects` order. A
+    phrase's aconf is its cnet times its largest srel: for cnet >= 0,
+    rounding keeps cnet * s monotone in s, so this is the largest
+    cnet * srel bit for bit.
+    """
     if cap < 1:
         raise ConfigError(f"abstract candidate cap must be >= 1, got {cap!r}")
-    out: list[AbstractCandidate] = []
-    for obj, scores in supporting.items():
-        aconf = max(cnet[obj] * srel_fn(subject, obj) for subject in scores)
-        out.append(AbstractCandidate(label=obj, cnet=cnet[obj], aconf=aconf))
-    out.sort(key=lambda c: (-c.aconf, c.label))
-    return out[:cap]
+    if not supports.phrases:
+        return []
+    starts = np.cumsum(supports.counts) - supports.counts
+    aconf = supports.cnet * np.maximum.reduceat(srel, starts)
+    # a stable sort over the sorted phrases breaks aconf ties by label
+    keep = np.argsort(-aconf, kind="stable")[:cap].tolist()
+    return [AbstractCandidate(label=supports.phrases[i], cnet=float(supports.cnet[i]),
+                              aconf=float(aconf[i])) for i in keep]
 
 
 @dataclass
@@ -103,18 +136,18 @@ class ImageLabels:
     # per box: its id, its original and similar candidates (with vconf), and
     # its hypernym labels
     boxes: list[tuple[str, list[VisualCandidate], list[str]]]
-    supporting: dict[str, dict[str, float]]  # `asserted_objects` of the visual labels
-    cnet: dict[str, float]  # `phrase_cnet` of `supporting`
+    supports: Supports  # of the phrases asserted about the visual labels
     table: SrelTable | None  # the image's srel, given a `Relatedness`
+    support_at: tuple[np.ndarray, np.ndarray] | None  # `supports.positions(table)`
 
 
 def image_labels(
     record: DetectionRecord, store: KnowledgeStore, tau_s: float, srel: Relatedness | SrelFn
 ) -> ImageLabels:
     """Each box's original, similar and hypernym labels at `tau_s`, the
-    phrases asserted about them with their cnet and, given a `Relatedness`,
-    the srel table of the visual labels x (the visual labels + those
-    phrases)."""
+    phrases asserted about them with their supports and, given a
+    `Relatedness`, the srel table of the visual labels x (the visual labels
+    + those phrases) and where each support pair sits in it."""
     boxes = []
     visual: dict[str, None] = {}
     for box in record.boxes:
@@ -130,10 +163,11 @@ def image_labels(
         # the same in every process
         visual.update(dict.fromkeys([*original, *similar, *hyper]))
     # every asserted phrase, before the cap: the best supports decide the ranking
-    supporting = asserted_objects(visual, store.by_subject)
-    table = srel.table(list(visual), sorted(supporting)) \
-        if isinstance(srel, Relatedness) else None
-    return ImageLabels(boxes, supporting, phrase_cnet(supporting), table)
+    supports = phrase_supports(asserted_objects(visual, store.by_subject))
+    if not isinstance(srel, Relatedness):
+        return ImageLabels(boxes, supports, None, None)
+    table = srel.table(list(visual), supports.phrases)
+    return ImageLabels(boxes, supports, table, supports.positions(table))
 
 
 def generate(
@@ -161,7 +195,11 @@ def generate(
         labels = image_labels(record, store, hp.tau_s, srel)
         if memo is not None:
             memo[hp.tau_s] = labels
-    srel_fn = srel if labels.table is None else labels.table.blend(hp.delta)
+    if labels.table is None:
+        srel_fn, support_srel = srel, labels.supports.srel(srel)
+    else:
+        srel_fn = labels.table.blend(hp.delta)
+        support_srel = srel_fn.at(labels.support_at)
 
     per_box: dict[str, list[VisualCandidate]] = {}
     for box_id, fixed, hyper in labels.boxes:
@@ -177,6 +215,6 @@ def generate(
     return CandidateSets(
         box_ids=tuple(box.box_id for box in record.boxes),
         per_box=per_box,
-        abstract=rank_abstract(labels.supporting, labels.cnet, hp.abstract_cap, srel_fn),
+        abstract=rank_abstract(labels.supports, support_srel, hp.abstract_cap),
         srel=srel_fn,
     )

@@ -6,6 +6,12 @@ so loading the same file twice yields equal tables. Each loader returns the
 map the store keeps: `load_hypernyms` child -> sorted parents, pruned with
 the popularity map of `load_allowlist`, and `load_assertions` subject ->
 object -> highest score.
+
+`load_embeddings` parses the vector text of `EMBEDDING_BLOCK` lines per
+`np.loadtxt` call and then checks the rows one by one, in file order. A
+block that numpy does not parse whole is read again one row at a time with
+`float`'s rules, so every row loads, or fails with the same message and
+line, as it would if each row were parsed on its own.
 """
 
 from __future__ import annotations
@@ -14,7 +20,8 @@ import logging
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from itertools import islice
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -28,6 +35,10 @@ log = logging.getLogger(__name__)
 HYPERNYM_MAX_DEPTH = 3
 MAX_PARENTS_PER_CHILD = 3
 PERMITTED_RELATIONS = ("usedFor", "hasProperty")
+
+# Embedding lines parsed per `np.loadtxt` call. Larger blocks parse no faster
+# and keep more text and floats alive at once.
+EMBEDDING_BLOCK = 64
 
 
 # --- embeddings ---------------------------------------------------------------
@@ -63,15 +74,8 @@ def load_embeddings(path) -> EmbeddingTable:
     vectors: dict[str, np.ndarray] = {}
     dim = 0
     duplicates = 0
-    for lineno, line in data_lines(path):
-        parts = line.split()
-        if len(parts) < 2:
-            raise LoadError(path, "expected `token v1 ... vd`", lineno)
-        token = canon_label(parts[0])
-        try:
-            vec = np.array(parts[1:], dtype=float)
-        except ValueError as exc:
-            raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
+    for lineno, token, vec in _embedding_rows(path):
+        token = canon_label(token)
         # a non-finite component makes the squared norm non-finite too
         if not math.isfinite(vec @ vec):
             what = "squared vector norm overflows" if np.isfinite(vec).all() \
@@ -90,6 +94,63 @@ def load_embeddings(path) -> EmbeddingTable:
     if duplicates:
         log.warning("%s: %d duplicate embedding tokens (last wins)", path, duplicates)
     return EmbeddingTable(dim=dim, vectors=vectors)
+
+
+def _embedding_rows(path) -> Iterator[tuple[int, str, np.ndarray]]:
+    """(line number, token, vector) for each data line, in file order.
+
+    `EMBEDDING_BLOCK` lines at a time, the vector text goes through one
+    `np.loadtxt` call. A block it does not parse whole is read again one row
+    at a time with `_row_vector`: that reports a token-only row or a
+    non-numeric component, and loads what `float` reads but numpy does not
+    (`1_000`, non-ASCII digits). A LoadError from `data_lines` (a line that
+    is not UTF-8) comes after the rows read before it, so the first bad row
+    of the file is the one reported.
+    """
+    lines = data_lines(path)
+    while True:
+        block: list[tuple[int, str, str]] = []
+        try:
+            for lineno, line in islice(lines, EMBEDDING_BLOCK):
+                token, *rest = line.split(None, 1)
+                block.append((lineno, token, rest[0] if rest else ""))
+        except LoadError:
+            yield from _block_vectors(path, block)
+            raise
+        yield from _block_vectors(path, block)
+        if len(block) < EMBEDDING_BLOCK:
+            return
+
+
+def _block_vectors(
+    path, block: list[tuple[int, str, str]]
+) -> Iterator[tuple[int, str, np.ndarray]]:
+    """`_embedding_rows` of one block of (line number, token, vector text)."""
+    rests = [rest for _, _, rest in block]
+    parsed = None
+    # numpy would skip a token-only row, and warn of a block of none at all
+    if rests and all(rests):
+        try:
+            parsed = np.loadtxt(rests, dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            pass
+    if parsed is None:
+        for lineno, token, rest in block:
+            yield lineno, token, _row_vector(path, lineno, rest)
+        return
+    for (lineno, token, _), vec in zip(block, parsed):
+        yield lineno, token, vec.copy()
+
+
+def _row_vector(path, lineno: int, rest: str) -> np.ndarray:
+    """The vector of one line from the text after its token."""
+    parts = rest.split()
+    if not parts:
+        raise LoadError(path, "expected `token v1 ... vd`", lineno)
+    try:
+        return np.array(parts, dtype=float)
+    except ValueError as exc:
+        raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
 
 
 # --- frequency allowlist -------------------------------------------------------

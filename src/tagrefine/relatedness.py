@@ -41,9 +41,9 @@ class SrelTable:
 
     Called as `table(a, b)` with `a` one of the labels and `b` any label of
     the block, so it serves wherever a scalar srel function does on those
-    pairs; `block(labels, extra)` reads a whole sub-block as an array. Any
-    other label is a LookupError. A pair of the labels has one value,
-    whichever way round it is asked for.
+    pairs; `block(labels, extra)` reads a whole sub-block as an array, and
+    `at` the pairs at given `indices`. Any other label is a LookupError. A
+    pair of the labels has one value, whichever way round it is asked for.
 
     The cosine, co-location, blend and clamps are elementwise float
     operations in `Relatedness.srel`'s order, so a pair whose cosine is 0
@@ -67,11 +67,18 @@ class SrelTable:
         """The same block at another `delta`."""
         return SrelTable(self._index, self._cos, self._co, delta)
 
+    def indices(self, labels: Sequence[str]) -> np.ndarray:
+        """Each label's row or column in the table."""
+        return np.array([self._index[a] for a in labels], dtype=np.intp)
+
+    def at(self, positions: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """srel at (row, column) `positions` from `indices`, as a new array."""
+        return self._values[positions]
+
     def block(self, labels: Sequence[str], extra: Sequence[str]) -> np.ndarray:
         """srel of every pair of `labels` x (`labels` + `extra`), as a new array."""
-        at = np.array([self._index[a] for a in labels], dtype=np.intp)
-        extra_at = np.array([self._index[b] for b in extra], dtype=np.intp)
-        return self._values[at[:, None], np.concatenate([at, extra_at])]
+        at = self.indices(labels)
+        return self._values[at[:, None], np.concatenate([at, self.indices(extra)])]
 
 
 class Relatedness:

@@ -25,9 +25,9 @@ def data_lines(path) -> Iterator[tuple[int, str]]:
     with fh:
         try:
             for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\n")
-                if line.strip() and not line.lstrip().startswith("#"):
-                    yield lineno, line
+                head = raw.lstrip()
+                if head and head[0] != "#":
+                    yield lineno, raw.rstrip("\n")
         except UnicodeDecodeError as exc:
             raise LoadError(path, f"not valid UTF-8 ({exc.reason})",
                             _first_undecodable_line(path)) from None

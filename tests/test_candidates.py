@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from tagrefine.candidates import (
@@ -5,7 +7,7 @@ from tagrefine.candidates import (
     expand_hypernyms,
     expand_similar,
     generate,
-    phrase_cnet,
+    phrase_supports,
     rank_abstract,
 )
 from tagrefine.errors import ConfigError
@@ -26,8 +28,8 @@ FLAT_SREL = lambda a, b: 0.5
 
 def generate_abstract(visual, by_subject, cap, srel_fn):
     """Abstract candidates for a set of visual labels, as `generate` ranks them."""
-    supporting = asserted_objects(visual, by_subject)
-    return rank_abstract(supporting, phrase_cnet(supporting), cap, srel_fn)
+    supports = phrase_supports(asserted_objects(visual, by_subject))
+    return rank_abstract(supports, supports.srel(srel_fn), cap)
 
 
 def by_subject(tmp_path, assertions):
@@ -136,6 +138,35 @@ class TestGenerateAbstract:
         assertions = [("snake", "hasProperty", "poisonous", 9.0)]
         out = generate_abstract({"snake"}, by_subject(tmp_path, assertions), 10, lambda a, b: 0.0)
         assert out[0].aconf == 0.0
+
+
+def rank_abstract_reference(supporting, cap, srel_fn):
+    """The ranking one (subject, phrase) call at a time: each phrase's
+    largest cnet * srel, sorted by (-aconf, label)."""
+    out = []
+    for obj, scores in supporting.items():
+        cnet = max(scores.values())
+        out.append((obj, cnet, max(cnet * srel_fn(subject, obj) for subject in scores)))
+    out.sort(key=lambda c: (-c[2], c[0]))
+    return out[:cap]
+
+
+def test_rank_abstract_matches_reference():
+    rng = random.Random(7)
+    for _ in range(300):
+        subjects = [f"s{i}" for i in range(rng.randint(1, 6))]
+        by_subject = {s: {f"p{rng.randrange(12)}": rng.choice([0.5, 1.0, rng.uniform(0.1, 9)])
+                          for _ in range(rng.randint(0, 5))} for s in subjects}
+        # a few srel levels, so that aconf ties are common
+        levels = [0.0, 0.25, 0.5, 1.0, rng.random(), rng.random()]
+        values = {}
+        srel = lambda a, b: values.setdefault((a, b), rng.choice(levels))
+        supporting = asserted_objects(subjects, by_subject)
+        cap = rng.randint(1, 8)
+        supports = phrase_supports(supporting)
+        got = [(c.label, c.cnet, c.aconf)
+               for c in rank_abstract(supports, supports.srel(srel), cap)]
+        assert got == rank_abstract_reference(supporting, cap, srel)
 
 
 class TestGenerate:

@@ -1,3 +1,5 @@
+import logging
+import math
 import random
 import re
 import sys
@@ -5,8 +7,10 @@ import sys
 import numpy as np
 import pytest
 
+from tagrefine import knowledge
 from tagrefine.errors import LoadError
 from tagrefine.knowledge import (
+    EMBEDDING_BLOCK,
     load_allowlist,
     load_assertions,
     load_coloc,
@@ -14,6 +18,7 @@ from tagrefine.knowledge import (
     load_hypernyms,
 )
 from tagrefine.labels import canon_label
+from tagrefine.textio import data_lines
 
 
 def write(tmp_path, name, text):
@@ -103,6 +108,182 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         assert np.allclose(table.label_vector("tennis ball"), [0.5, 0.5])
         assert table.label_vector("rocket science") is None
+
+
+    def test_token_only_row_names_its_line(self, tmp_path):
+        path = write(tmp_path, "emb.txt", "cat 1 2\ndog\nfish 3 4\n")
+        with pytest.raises(LoadError, match="expected `token v1 ... vd`") as err:
+            load_embeddings(path)
+        assert err.value.line == 2
+
+    def test_bad_row_in_third_block_names_its_line(self, tmp_path):
+        rows = [f"w{i} 1 2" for i in range(2 * EMBEDDING_BLOCK + 5)]
+        rows.append("bad 1 x")
+        path = write(tmp_path, "emb.txt", "\n".join(rows + ["last 1 2"]) + "\n")
+        with pytest.raises(LoadError, match="non-numeric vector component") as err:
+            load_embeddings(path)
+        assert err.value.line == 2 * EMBEDDING_BLOCK + 6
+
+    def test_underscores_and_non_ascii_digits_load_as_float_reads_them(self, tmp_path):
+        path = write(tmp_path, "emb.txt", "cat 1_000 \u0661\u0662 0.5\ndog 1 2 3\n")
+        table = load_embeddings(path)
+        assert table.vectors["cat"].tolist() == [1000.0, 12.0, 0.5]
+        assert table.vectors["dog"].tolist() == [1.0, 2.0, 3.0]
+
+    def test_crlf_file_gives_the_same_vectors(self, tmp_path):
+        text = "# vectors\ncat 0.1 -2e-3 7\n\ndog 1e5 0.25 -0\n"
+        lf = load_embeddings(write(tmp_path, "lf.txt", text))
+        path = tmp_path / "crlf.txt"
+        path.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+        crlf = load_embeddings(path)
+        assert list(crlf.vectors) == list(lf.vectors) == ["cat", "dog"]
+        assert all(crlf.vectors[t].tobytes() == lf.vectors[t].tobytes() for t in lf.vectors)
+
+    def test_bad_row_before_a_line_that_is_not_utf8_is_reported_first(self, tmp_path):
+        # the text decoder reads ahead, so the undecodable line, past the
+        # first 8 KiB, fails while the bad row's block is still filling
+        long_row = " ".join(["0.125"] * 60)
+        rows = [f"cat {long_row}", "dog", *(f"w{i} {long_row}" for i in range(40))]
+        path = tmp_path / "emb.txt"
+        path.write_bytes("\n".join(rows).encode("utf-8") + b"\nbad\xff 1\n")
+        assert path.stat().st_size > 8192 and len(rows) < EMBEDDING_BLOCK
+        with pytest.raises(LoadError, match="expected `token v1 ... vd`") as err:
+            load_embeddings(path)
+        assert err.value.line == 2
+
+    def test_vectors_are_read_only(self, tmp_path):
+        rows = [f"w{i} {i} 1" for i in range(EMBEDDING_BLOCK + 1)]
+        table = load_embeddings(write(tmp_path, "emb.txt", "\n".join(rows) + "\n"))
+        for vec in table.vectors.values():
+            with pytest.raises(ValueError, match="read-only"):
+                vec[0] = 1.0
+
+
+_reference_log = logging.getLogger("tests.embeddings_reference")
+
+
+@np.errstate(over="ignore")
+def load_embeddings_reference(path):
+    """`load_embeddings` one row at a time, each row's floats parsed by
+    `np.array` on its fields: the reference the block parse must match."""
+    vectors = {}
+    dim = 0
+    duplicates = 0
+    for lineno, line in data_lines(path):
+        parts = line.split()
+        if len(parts) < 2:
+            raise LoadError(path, "expected `token v1 ... vd`", lineno)
+        token = canon_label(parts[0])
+        try:
+            vec = np.array(parts[1:], dtype=float)
+        except ValueError as exc:
+            raise LoadError(path, f"non-numeric vector component: {exc}", lineno) from exc
+        if not math.isfinite(vec @ vec):
+            what = "squared vector norm overflows" if np.isfinite(vec).all() \
+                else "non-finite vector component"
+            raise LoadError(path, what, lineno)
+        if dim == 0 and not vectors:
+            dim = vec.size
+        elif vec.size != dim:
+            raise LoadError(
+                path, f"dimension mismatch: expected {dim}, got {vec.size}", lineno
+            )
+        if token in vectors:
+            duplicates += 1
+        vec.setflags(write=False)
+        vectors[token] = vec
+    if duplicates:
+        _reference_log.warning("%s: %d duplicate embedding tokens (last wins)", path, duplicates)
+    return knowledge.EmbeddingTable(dim=dim, vectors=vectors)
+
+
+# separators str.split splits on, Unicode ones included
+SEPARATORS = [" ", " ", " ", "  ", "\t", " \t", "\u3000", "\xa0", "\x0b", "\x0c", "\u2003"]
+TOKENS = ["cat", "Dog", "tennis", "ball", "\u00fcber", "a#b", "#tag"]
+# values float() reads and numpy's text parser does not
+FLOAT_ONLY = ["1_000", "1_0.5", "\u0661\u0662", "\uff11", "\u0967.5"]
+# errors: non-finite, overflowing or non-numeric components
+BAD_VALUES = ["nan", "inf", "-Infinity", "NaN", "1e400", "x", "1,5", "0x10", "--1", "1e",
+              "1.5.2", "\u00bd", "1#", "#1", '"1"']
+
+
+def _value(rng, quirk_rate):
+    if rng.random() < quirk_rate:
+        return rng.choice(FLOAT_ONLY)
+    x = rng.gauss(0, 1)
+    return rng.choice([repr(x), f"{x:.4f}", f"{x:.3e}", str(rng.randint(-5, 5)),
+                       "-0", "+1.5", ".5", "5.", "1E-3"])
+
+
+def _embedding_line(rng, dim, bad_rate, quirk_rate):
+    """One line of a random embeddings file, without its line ending."""
+    if rng.random() < 0.06:
+        return rng.choice(["", "   ", "\t", "# comment 1 2", "  # x", "#"])
+    token = rng.choice(TOKENS) if rng.random() < 0.3 else f"w{rng.randrange(60)}"
+    if rng.random() < 0.1:
+        token = " " + token
+    values = [_value(rng, quirk_rate) for _ in range(dim)]
+    if rng.random() < bad_rate:
+        kind = rng.randrange(4)
+        if kind == 0:  # token only
+            values = []
+        elif kind == 1:  # another dimension
+            values = values[:-1] if dim > 1 and rng.random() < 0.5 else values + ["1"]
+        elif kind == 2:
+            values[rng.randrange(dim)] = rng.choice(BAD_VALUES)
+        else:  # every component finite, the squared norm not
+            values = ["1e200"] * dim
+    if rng.random() < 0.8:
+        line = rng.choice(SEPARATORS).join([token, *values])
+    else:
+        line = token + "".join(rng.choice(SEPARATORS) + v for v in values)
+    return line + rng.choice(["", "", " ", "\t"])
+
+
+def random_embedding_file(rng) -> bytes:
+    """A file of 0-160 lines mixing rows, comments, blanks, duplicate tokens,
+    odd separators, line endings and numerals and, in some files, bad rows
+    or a line that is not UTF-8."""
+    dim = rng.randint(1, 4)
+    bad_rate = rng.choice([0.0, 0.0, 0.005, 0.02, 0.1])
+    quirk_rate = rng.choice([0.0, 0.0, 0.002, 0.02])
+    ending = rng.choice(["\n", "\r\n", None])
+    lines = [_embedding_line(rng, dim, bad_rate, quirk_rate).encode("utf-8")
+             for _ in range(rng.randint(0, 160))]
+    if lines and rng.random() < 0.04:
+        lines[rng.randrange(len(lines))] += b"\xff"
+    return b"".join(line + (ending or rng.choice(["\n", "\r\n"])).encode("ascii")
+                    for line in lines)
+
+
+def embedding_outcome(load, path, caplog):
+    """What loading `path` gives: the error, or the table and any warnings."""
+    caplog.clear()
+    try:
+        table = load(path)
+    except LoadError as exc:
+        return str(exc), exc.line
+    rows = [(token, vec.dtype, vec.shape, vec.tobytes(), vec.flags.writeable)
+            for token, vec in table.vectors.items()]
+    return table.dim, rows, [record.getMessage() for record in caplog.records]
+
+
+class TestLoadEmbeddingsOracle:
+    """The loader against its row-at-a-time reference on seeded random files."""
+
+    @pytest.mark.parametrize("block", [EMBEDDING_BLOCK, 3])
+    def test_matches_reference(self, block, tmp_path, caplog, monkeypatch):
+        monkeypatch.setattr(knowledge, "EMBEDDING_BLOCK", block)
+        path = tmp_path / "emb.txt"
+        rng = random.Random(f"embeddings:{block}")
+        errors = 0
+        for _ in range(200):
+            path.write_bytes(random_embedding_file(rng))
+            expected = embedding_outcome(load_embeddings_reference, path, caplog)
+            assert embedding_outcome(load_embeddings, path, caplog) == expected
+            errors += len(expected) == 2
+        # the files load whole often enough, and fail often enough, to test both
+        assert 40 <= errors <= 160
 
 
 class TestLoadHypernyms:

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import pytest
 
-from tagrefine.candidates import asserted_objects, phrase_cnet, rank_abstract
+from tagrefine.candidates import asserted_objects, phrase_supports, rank_abstract
 from tagrefine.errors import ConfigError, ContractViolation
 from tagrefine.scoring import Hyperparameters, gconf, vconf
 from tagrefine.vsim import BoundingBox, VsimTable
@@ -90,8 +90,8 @@ def aconf(label, assertion, srel):
     `assertion` is a (subject, relation, object, score) row.
     """
     subject, _, obj, score = assertion
-    supporting = asserted_objects({label}, {subject: {obj: score}})
-    [candidate] = rank_abstract(supporting, phrase_cnet(supporting), 10, srel)
+    supports = phrase_supports(asserted_objects({label}, {subject: {obj: score}}))
+    [candidate] = rank_abstract(supports, supports.srel(srel), 10)
     assert candidate.label == obj
     return candidate.aconf
 
