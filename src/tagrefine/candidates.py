@@ -9,7 +9,7 @@ image's visual candidates; they attach to the image globally, not to a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -21,16 +21,17 @@ from .scoring import Hyperparameters, SrelFn, gconf, vconf
 from .vsim import BoundingBox, DetectionRecord, VsimTable, similar_set
 
 
-@dataclass(frozen=True)
-class VisualCandidate:
+# Named tuples, not dataclasses: every image builds a few dozen of each, and
+# every `tune` trial the abstract ones again.
+
+class VisualCandidate(NamedTuple):
     label: str
     origin: Origin
     vconf: float = 0.0  # 0 for hypernym candidates
     gconf: float = 0.0  # 0 for original/similar candidates
 
 
-@dataclass(frozen=True)
-class AbstractCandidate:
+class AbstractCandidate(NamedTuple):
     label: str
     cnet: float   # strongest supporting assertion weight
     aconf: float  # best support: cnet * srel(visual label, phrase)
@@ -126,8 +127,8 @@ def rank_abstract(supports: Supports, srel: np.ndarray, cap: int) -> list[Abstra
     aconf = supports.cnet * np.maximum.reduceat(srel, starts)
     # a stable sort over the sorted phrases breaks aconf ties by label
     keep = np.argsort(-aconf, kind="stable")[:cap].tolist()
-    return [AbstractCandidate(label=supports.phrases[i], cnet=float(supports.cnet[i]),
-                              aconf=float(aconf[i])) for i in keep]
+    cnet, aconf = supports.cnet.tolist(), aconf.tolist()
+    return [AbstractCandidate(supports.phrases[i], cnet[i], aconf[i]) for i in keep]
 
 
 @dataclass

@@ -67,7 +67,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
@@ -85,6 +85,10 @@ BRUTE_FORCE_MAX_STATES = 10_000_000
 # model): 256 leaves the 3-7 box images' solves as fast as branching and
 # speeds up the 1-3 box images' about 2x; 1024 slows the former.
 WHOLE_MAX_CHOICES = 256
+# Box-size tuples whose instance layout `build_instance` keeps. An entry
+# holds 16 bytes per label pair across boxes: about 25 KiB for 7 boxes of 8
+# candidates. The benchmark's images have at most 5 distinct tuples a run.
+LAYOUT_CACHE = 128
 _PRUNE_EPS = 1e-9
 
 
@@ -104,9 +108,9 @@ class IlpInstance:
     def __post_init__(self):
         for coeffs in (self.unary, self.zcoef, self.wcoef):
             coeffs.setflags(write=False)  # the solver searches them in place
-            ok = (coeffs >= 0) & np.isfinite(coeffs)  # NaN fails both
-            if not ok.all():
-                c = float(coeffs[~ok][0])
+            # NaN fails both comparisons; only a bad array is scanned for its first bad entry
+            if coeffs.size and not (coeffs.min() >= 0 and coeffs.max() < math.inf):
+                c = float(coeffs[~((coeffs >= 0) & np.isfinite(coeffs))][0])
                 raise ContractViolation(f"objective coefficient {c!r} not finite nonnegative")
         if self.budget is not None and self.budget < 1:
             raise ConfigError(f"budget must be >= 1 or none, got {self.budget!r}")
@@ -164,10 +168,7 @@ def build_instance(
     box_labels = tuple(tuple(c.label for c in box) for box in boxes)
     abstract_labels = tuple(a.label for a in cands.abstract)
     n = len(boxes)
-    width = max(map(len, boxes), default=0) + 1
-    # every visual label's (box, slot), in key order
-    box_of, slot_of = np.array([(i, j) for i, box in enumerate(boxes) for j in range(len(box))],
-                               dtype=np.intp).reshape(-1, 2).T
+    width, box_of, slot_of, p, q = _layout(tuple(map(len, boxes)))
     labels = [label for row in box_labels for label in row]
     cols = labels + list(abstract_labels)
     # a plain srel function is called once per pair
@@ -178,7 +179,6 @@ def build_instance(
     unary[box_of, slot_of] = [hp.alpha * (c.vconf + hp.kappa * c.gconf)
                               for box in boxes for c in box]
     zcoef = np.zeros((n, width, n, width))
-    p, q = np.nonzero(box_of[:, None] < box_of)  # label pairs in boxes i < m
     zcoef[box_of[p], slot_of[p], box_of[q], slot_of[q]] = hp.beta * srel[p, q]
     wcoef = np.zeros((n, width, len(abstract_labels)))
     weights = hp.gamma * np.array([a.cnet for a in cands.abstract])
@@ -193,6 +193,20 @@ def build_instance(
         budget=hp.budget,
         visual_cap=math.floor(0.8 * n) if hp.visir_star else None,
     )
+
+
+@lru_cache(maxsize=LAYOUT_CACHE)
+def _layout(sizes: tuple[int, ...]) -> tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Where `build_instance` puts the labels of boxes of these sizes: the
+    arrays' width, every visual label's (box, slot) in key order, and the
+    label pairs (p, q) in boxes i < m. The arrays are read-only."""
+    box_of, slot_of = np.array([(i, j) for i, size in enumerate(sizes) for j in range(size)],
+                               dtype=np.intp).reshape(-1, 2).T
+    p, q = np.nonzero(box_of[:, None] < box_of)
+    layout = box_of, slot_of, p, q
+    for at in layout:
+        at.setflags(write=False)
+    return max(sizes, default=0) + 1, *layout
 
 
 # --- objective and ordering ----------------------------------------------------
@@ -273,10 +287,9 @@ def _best_abstract(inst: IlpInstance, choice: Sequence[int | None], allowance: i
     if gains is None:
         gains = _abstract_gains(inst, choice)
     gains = [(g, k) for k, g in enumerate(gains.tolist())]
-    positives = sorted(
-        ((g, inst.abstract_labels[k], k) for g, k in gains if g > 0.0),
-        key=lambda t: (-t[0], t[1]),
-    )
+    # the order of a stable sort on (-gain, label) over the candidates in
+    # index order, with tuples compared in C instead of through a key function
+    positives = sorted([(-g, inst.abstract_labels[k], k) for g, k in gains if g > 0.0])
     chosen = [k for _, _, k in positives[:allowance]]
     slots = allowance - len(chosen)
     if slots > 0:

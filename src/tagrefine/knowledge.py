@@ -26,7 +26,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import LoadError
-from .labels import canon_label, tokens
+from .labels import CanonLabels, canon_label, tokens
 from .textio import data_lines, tsv_fields
 from .vsim import VsimTable
 
@@ -45,10 +45,20 @@ EMBEDDING_BLOCK = 64
 
 @dataclass
 class EmbeddingTable:
-    """Dense word vectors keyed by token; every vector has length `dim`."""
+    """Dense word vectors keyed by token; every vector has length `dim`.
+
+    `norms` holds each token's Euclidean norm. `load_embeddings` fills it
+    from the squared norm it checks; given None, it is worked out here with
+    `np.linalg.norm`, which gives the same bits.
+    """
 
     dim: int
     vectors: dict[str, np.ndarray]
+    norms: dict[str, float] | None = None
+
+    def __post_init__(self):
+        if self.norms is None:
+            self.norms = {t: float(np.linalg.norm(v)) for t, v in self.vectors.items()}
 
     def label_vector(self, label: str) -> np.ndarray | None:
         """Mean of in-vocabulary token vectors; None if all tokens are OOV."""
@@ -72,12 +82,14 @@ def load_embeddings(path) -> EmbeddingTable:
     Duplicate tokens resolve last-wins, and their count is logged as one warning.
     """
     vectors: dict[str, np.ndarray] = {}
+    norms: dict[str, float] = {}
     dim = 0
     duplicates = 0
     for lineno, token, vec in _embedding_rows(path):
         token = canon_label(token)
+        squared = vec @ vec
         # a non-finite component makes the squared norm non-finite too
-        if not math.isfinite(vec @ vec):
+        if not math.isfinite(squared):
             what = "squared vector norm overflows" if np.isfinite(vec).all() \
                 else "non-finite vector component"
             raise LoadError(path, what, lineno)
@@ -91,9 +103,11 @@ def load_embeddings(path) -> EmbeddingTable:
             duplicates += 1
         vec.setflags(write=False)
         vectors[token] = vec
+        # np.linalg.norm is the same correctly rounded root of the same dot product
+        norms[token] = math.sqrt(squared)
     if duplicates:
         log.warning("%s: %d duplicate embedding tokens (last wins)", path, duplicates)
-    return EmbeddingTable(dim=dim, vectors=vectors)
+    return EmbeddingTable(dim=dim, vectors=vectors, norms=norms)
 
 
 def _embedding_rows(path) -> Iterator[tuple[int, str, np.ndarray]]:
@@ -159,10 +173,11 @@ def load_allowlist(path) -> dict[str, float]:
     """Parse `label<TAB>score` rows into label -> popularity; scores must be
     nonnegative reals, and a label that is absent scores 0."""
     entries: dict[str, float] = {}
+    canon = CanonLabels()
     for lineno, line in data_lines(path):
         label_s, score_s = tsv_fields(path, lineno, line, 2)
         try:
-            label = canon_label(label_s)
+            label = canon[label_s]
             score = float(score_s)
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc
@@ -186,11 +201,12 @@ def load_hypernyms(
     """
     parents_of: dict[str, set[str]] = {}
     dropped = 0
+    canon = CanonLabels()
     for lineno, line in data_lines(path):
         child_s, parent_s, depth_s = tsv_fields(path, lineno, line, 3)
         try:
-            child = canon_label(child_s)
-            parent = canon_label(parent_s)
+            child = canon[child_s]
+            parent = canon[parent_s]
             depth = int(depth_s)
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc
@@ -235,6 +251,7 @@ def load_assertions(path) -> dict[str, dict[str, float]]:
     by_subject: dict[str, dict[str, float]] = {}
     dropped_relation = 0
     dropped_score = 0
+    canon = CanonLabels()
     for lineno, line in data_lines(path):
         subj_s, rel_s, obj_s, score_s = tsv_fields(path, lineno, line, 4)
         try:
@@ -250,8 +267,8 @@ def load_assertions(path) -> dict[str, dict[str, float]]:
             dropped_score += 1
             continue
         try:
-            subject = canon_label(subj_s)
-            obj = canon_label(obj_s)
+            subject = canon[subj_s]
+            obj = canon[obj_s]
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc
         objects = by_subject.setdefault(subject, {})
@@ -302,11 +319,12 @@ def load_coloc(path) -> ColocTable:
     """Parse `label1<TAB>label2<TAB>count`; repeated pairs (either order) sum."""
     table = ColocTable()
     self_pairs = 0
+    canon = CanonLabels()
     for lineno, line in data_lines(path):
         a_s, b_s, count_s = tsv_fields(path, lineno, line, 3)
         try:
-            a = canon_label(a_s)
-            b = canon_label(b_s)
+            a = canon[a_s]
+            b = canon[b_s]
             count = int(count_s)
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc

@@ -21,6 +21,19 @@ def canon_label(text: str) -> str:
     return out
 
 
+class CanonLabels(dict):
+    """Raw text -> its :func:`canon_label`, worked out on first lookup.
+
+    A loader keeps one for a load, so each distinct field is canonicalised
+    once however often it repeats. Text that fails is not kept: it raises
+    the same ValueError wherever it occurs.
+    """
+
+    def __missing__(self, text: str) -> str:
+        label = self[text] = canon_label(text)
+        return label
+
+
 def tokens(label: str) -> list[str]:
     """Tokens of a (canonical) label; multiword labels split on spaces."""
     return label.split(" ")

@@ -29,11 +29,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .knowledge import ColocTable, EmbeddingTable
+from .labels import tokens
 
 # Labels whose vector and norm a `Relatedness` keeps. Worst case, each entry
 # holds a multiword label's mean vector (8 * dim bytes) and about 300 bytes
 # of key, tuple, norm and cache links: some 22 MiB for 300-d vectors.
 LABEL_CACHE = 8192
+# Row counts whose lower-triangle indices `Relatedness.table` keeps for its
+# mirror copy, 8 * n * (n - 1) bytes each. A table's rows are an image's
+# distinct visual labels, a few dozen.
+MIRROR_CACHE = 128
 
 
 class SrelTable:
@@ -52,19 +57,24 @@ class SrelTable:
     number of deltas over the same arrays.
     """
 
-    __slots__ = ("_index", "_cos", "_co", "_values")
+    __slots__ = ("_index", "_cos", "_co", "_delta", "_values")
 
     def __init__(self, index: dict[str, int], cos: np.ndarray, co: np.ndarray, delta: float):
         self._index = index
         self._cos = cos
         self._co = co
-        self._values = np.minimum(1.0, np.maximum(0.0, delta * cos + (1.0 - delta) * co))
+        self._delta = delta
+        values = delta * cos
+        values += (1.0 - delta) * co
+        self._values = np.minimum(1.0, np.maximum(0.0, values, out=values), out=values)
 
     def __call__(self, a: str, b: str) -> float:
         return float(self._values[self._index[a], self._index[b]])
 
     def blend(self, delta: float) -> SrelTable:
-        """The same block at another `delta`."""
+        """The same block at `delta`: this table itself at its own delta."""
+        if delta == self._delta:
+            return self
         return SrelTable(self._index, self._cos, self._co, delta)
 
     def indices(self, labels: Sequence[str]) -> np.ndarray:
@@ -85,10 +95,13 @@ class Relatedness:
     """srel over one store; one per run, shared by every image refined.
 
     Its `delta` is the blend of `srel` and `table`; `candidates.generate`
-    blends each image's table again at that image's own `hp.delta`.
+    blends each image's table at that image's own `hp.delta`, which is the
+    table itself when the two agree.
 
     Each label's mean embedding vector and its norm are worked out on first
-    use and kept for the `LABEL_CACHE` most recently used labels. A label
+    use and kept for the `LABEL_CACHE` most recently used labels; a label
+    with one token in the vocabulary reads the norm the embedding table
+    keeps. A label
     with no in-vocabulary token or a zero vector is kept as None and has
     cosine 0 with everything. Entries are pure functions of the immutable
     tables, so an image sees the same values whichever images were refined
@@ -119,7 +132,9 @@ class Relatedness:
         """srel at this `delta` for every pair of `labels` x (`labels` +
         `extra`), with all the dot products in one matrix product.
 
-        Labels given twice keep their first place.
+        Labels given twice keep their first place. The product is of this
+        block's own rows: one product over a larger block would sum many of
+        the same dot products in another order.
         """
         index = {label: i for i, label in enumerate(dict.fromkeys([*labels, *extra]))}
         n = len(dict.fromkeys(labels))
@@ -128,12 +143,13 @@ class Relatedness:
         entries = [self._vector(label) or (zero, 1.0) for label in index]
         mat = np.array([vec for vec, _ in entries]).reshape(len(index), self.emb.dim)
         norms = np.array([norm for _, norm in entries])
-        cos = (mat[:n] @ mat.T) / np.outer(norms[:n], norms)
-        cos = np.minimum(1.0, np.maximum(0.0, cos))
+        cos = mat[:n] @ mat.T
+        cos /= np.outer(norms[:n], norms)
+        cos = np.minimum(1.0, np.maximum(0.0, cos, out=cos), out=cos)
         # the matrix product need not sum (a, b) and (b, a) alike; both take
         # the value computed with the earlier label first. Co-location is
         # symmetric already, so every blend of the table is too.
-        square, lower = cos[:, :n], np.tril_indices(n, -1)
+        square, lower = cos[:, :n], _lower_triangle(n)
         square[lower] = square.T[lower]
 
         co = np.zeros_like(cos)
@@ -147,14 +163,29 @@ class Relatedness:
         return SrelTable(index, cos, co, self.delta)
 
 
+@lru_cache(maxsize=MIRROR_CACHE)
+def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.tril_indices(n, -1)`, read-only, for the tables' mirror copy."""
+    lower = np.tril_indices(n, -1)
+    for at in lower:
+        at.setflags(write=False)
+    return lower
+
+
 def _entry(emb: EmbeddingTable, label: str) -> tuple[np.ndarray, float] | None:
-    """A label's mean vector and its norm; None for no vector or a zero one."""
-    vec = emb.label_vector(label)
-    if vec is not None:
+    """A label's mean vector and its norm; None for no vector or a zero one.
+
+    A label with one token in the vocabulary has that token's vector and
+    the norm the table keeps for it; only a multiword mean is normed here."""
+    in_vocab = [t for t in tokens(label) if t in emb.vectors]
+    if not in_vocab:
+        return None
+    if len(in_vocab) == 1:
+        vec, norm = emb.vectors[in_vocab[0]], emb.norms[in_vocab[0]]
+    else:
+        vec = np.mean([emb.vectors[t] for t in in_vocab], axis=0)
         norm = float(np.linalg.norm(vec))
-        if norm != 0.0:
-            return vec, norm
-    return None
+    return (vec, norm) if norm != 0.0 else None
 
 
 def image_coherence(top_labels: list[str], rel: Relatedness) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView
 
 from .errors import LoadError
-from .labels import canon_label
+from .labels import CanonLabels, canon_label
 from .textio import data_lines, json_str, tsv_fields
 
 log = logging.getLogger(__name__)
@@ -254,10 +254,11 @@ def write_vsim_tsv(table: VsimTable, path) -> None:
 def read_vsim_tsv(path) -> VsimTable:
     """Read `label1<TAB>label2<TAB>score` rows; any bad or duplicate row is a LoadError."""
     table = VsimTable()
+    canon = CanonLabels()
     for lineno, line in data_lines(path):
         a_s, b_s, score_s = tsv_fields(path, lineno, line, 3)
         try:
-            a, b = canon_label(a_s), canon_label(b_s)
+            a, b = canon[a_s], canon[b_s]
             if b in table.neighbors(a):
                 raise ValueError(f"duplicate pair {_pair(a, b)!r}")
             table._put(a, b, float(score_s))  # rejects a self-pair or a score outside [0, 1]

@@ -3,6 +3,8 @@ import random
 import pytest
 
 from tagrefine.candidates import (
+    AbstractCandidate,
+    VisualCandidate,
     asserted_objects,
     expand_hypernyms,
     expand_similar,
@@ -214,3 +216,19 @@ class TestGenerate:
         for b in record.boxes:
             originals = {c.label for c in sets.per_box[b.box_id] if c.origin is Origin.ORIGINAL}
             assert originals == set(b.labels())
+
+
+class TestCandidateRecords:
+    def test_build_with_keywords_and_defaults(self):
+        hyper = VisualCandidate(label="rug", origin=Origin.HYPERNYM, gconf=0.4)
+        assert (hyper.label, hyper.origin, hyper.vconf, hyper.gconf) == \
+            ("rug", Origin.HYPERNYM, 0.0, 0.4)
+        assert VisualCandidate("cat", Origin.ORIGINAL).vconf == 0.0
+        assert VisualCandidate("cat", Origin.ORIGINAL, vconf=0.5) == \
+            VisualCandidate(label="cat", origin=Origin.ORIGINAL, vconf=0.5, gconf=0.0)
+        cozy = AbstractCandidate(label="cozy", cnet=2.0, aconf=1.5)
+        assert (cozy.label, cozy.cnet, cozy.aconf) == ("cozy", 2.0, 1.5)
+        with pytest.raises(TypeError):
+            AbstractCandidate(label="cozy", cnet=2.0)  # aconf has no default
+        with pytest.raises(AttributeError):
+            cozy.aconf = 0.0  # records are immutable

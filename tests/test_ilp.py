@@ -150,6 +150,45 @@ class TestBuildInstance:
         with pytest.raises(ContractViolation, match=repr(bad)):
             simple_instance(**overrides)
 
+    def test_first_bad_coefficient_is_named(self):
+        unary = ((0.5, -0.0, float("inf"), float("nan"), -2.0),)
+        with pytest.raises(ContractViolation, match=r"coefficient inf not finite"):
+            simple_instance(box_labels=(("a", "b", "c", "d", "e"),), unary=unary)
+
+    def test_empty_and_signed_zero_coefficients_pass(self):
+        inst = simple_instance(box_labels=(("a",), ()), unary=((-0.0,), ()))
+        assert inst.wcoef.size == 0 and inst.n_abstract == 0
+        simple_instance(box_labels=(), unary=())
+
+
+class TestLayoutCache:
+    def test_layout_arrays_are_read_only_and_the_cache_bounded(self):
+        width, *arrays = ilp._layout((2, 0, 3))
+        box_of, slot_of, p, q = arrays
+        assert width == 4
+        assert list(zip(box_of.tolist(), slot_of.tolist())) == [(0, 0), (0, 1), (2, 0), (2, 1),
+                                                                (2, 2)]
+        assert all(box_of[p] < box_of[q]) and len(p) == 2 * 3
+        assert not any(at.flags.writeable for at in arrays)
+        assert ilp._layout.cache_info().maxsize == ilp.LAYOUT_CACHE
+        try:
+            for n in range(ilp.LAYOUT_CACHE + 5):
+                ilp._layout((1,) * (n % 3) + (n,))
+            assert ilp._layout.cache_info().currsize == ilp.LAYOUT_CACHE
+        finally:
+            ilp._layout.cache_clear()
+
+    def test_instances_of_one_shape_share_a_layout_and_stay_apart(self):
+        hp = Hyperparameters()
+        first = build_instance(make_candidates(), hp, lambda a, b: 0.3)
+        kept = first.zcoef.copy()
+        hits = ilp._layout.cache_info().hits
+        second = build_instance(make_candidates(), hp, lambda a, b: 0.6)
+        assert ilp._layout.cache_info().hits == hits + 1
+        assert first.zcoef.tobytes() == kept.tobytes()
+        assert first.z.keys() == second.z.keys()
+        assert 2 * first.zcoef.sum() == pytest.approx(second.zcoef.sum())
+
 
 class TestSolveExact:
     def test_empty_instance(self):

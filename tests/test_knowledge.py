@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tagrefine import knowledge
+from tagrefine import knowledge, vsim
 from tagrefine.errors import LoadError
 from tagrefine.knowledge import (
     EMBEDDING_BLOCK,
@@ -17,8 +17,9 @@ from tagrefine.knowledge import (
     load_embeddings,
     load_hypernyms,
 )
-from tagrefine.labels import canon_label
+from tagrefine.labels import CanonLabels, canon_label
 from tagrefine.textio import data_lines
+from tagrefine.vsim import read_vsim_tsv
 
 
 def write(tmp_path, name, text):
@@ -151,6 +152,29 @@ class TestLoadEmbeddings:
             load_embeddings(path)
         assert err.value.line == 2
 
+    def test_norms_are_numpys_bit_for_bit(self, tmp_path):
+        rng = random.Random("embedding-norms")
+        lines, last = [], {}
+        for k in range(400):
+            dim = 6
+            kind = k % 4
+            if kind == 0:  # components near 1e150, whose squares still sum finite
+                vec = [rng.uniform(-1, 1) * 10.0 ** rng.uniform(148, 153.5) for _ in range(dim)]
+            elif kind == 1:  # subnormal components, whose squares underflow
+                vec = [rng.choice([5e-324, -5e-324, 1e-310, -2.2e-308]) for _ in range(dim)]
+            else:
+                vec = [rng.gauss(0, 1) * 10.0 ** rng.randint(-30, 30) for _ in range(dim)]
+            vec = np.array(vec)
+            assert math.isfinite(vec @ vec)
+            token = f"w{rng.randrange(300)}"  # about a quarter of the tokens repeat
+            last[token] = vec
+            lines.append(" ".join([token, *map(repr, vec.tolist())]))
+        table = load_embeddings(write(tmp_path, "emb.txt", "\n".join(lines) + "\n"))
+        assert list(table.norms) == list(table.vectors) and len(table.norms) == len(last)
+        for token, vec in last.items():
+            assert table.vectors[token].tobytes() == vec.tobytes()  # the last row wins
+            assert table.norms[token].hex() == float(np.linalg.norm(vec)).hex()
+
     def test_vectors_are_read_only(self, tmp_path):
         rows = [f"w{i} {i} 1" for i in range(EMBEDDING_BLOCK + 1)]
         table = load_embeddings(write(tmp_path, "emb.txt", "\n".join(rows) + "\n"))
@@ -263,8 +287,9 @@ def embedding_outcome(load, path, caplog):
         table = load(path)
     except LoadError as exc:
         return str(exc), exc.line
-    rows = [(token, vec.dtype, vec.shape, vec.tobytes(), vec.flags.writeable)
-            for token, vec in table.vectors.items()]
+    # the reference's table works its norms out with np.linalg.norm
+    rows = [(token, vec.dtype, vec.shape, vec.tobytes(), vec.flags.writeable,
+             table.norms[token].hex()) for token, vec in table.vectors.items()]
     return table.dim, rows, [record.getMessage() for record in caplog.records]
 
 
@@ -411,3 +436,82 @@ class TestLoadAllowlist:
     def test_negative_score_rejected(self, tmp_path):
         with pytest.raises(LoadError):
             load_allowlist(write(tmp_path, "w.tsv", "insect\t-1\n"))
+
+
+class EveryField(dict):
+    """`CanonLabels` without its memo: `canon_label` on every lookup, as the
+    loaders did before they kept one per load."""
+
+    def __getitem__(self, text):
+        return canon_label(text)
+
+
+WORDS = ["cat", "dog", "tennis ball", "sofa", "a b c", "\u00fcber", "x", "lamp"]
+
+
+def raw_label(rng):
+    """A spelling of one of a few labels; now and then one that is empty."""
+    if rng.random() < 0.01:
+        return rng.choice(["", " ", "\u3000"])
+    word = rng.choice(WORDS)
+    word = rng.choice([word, word.upper(), word.title(), word.replace(" ", "  "),
+                       word.replace(" ", "\u00a0")])
+    return rng.choice(["", " ", "\u2003"]) + word + rng.choice(["", " ", "  "])
+
+
+# loader -> (reads a path, one random row)
+CANON_LOADERS = {
+    "allowlist": (load_allowlist, lambda rng: f"{raw_label(rng)}\t{rng.choice([0, 1.5, 7])}"),
+    "hypernyms": (lambda path: load_hypernyms(path, {"dog": 2.0, "sofa": 0.5}, 1.0),
+                  lambda rng: f"{raw_label(rng)}\t{raw_label(rng)}\t{rng.randint(0, 4)}"),
+    "assertions": (load_assertions, lambda rng: "\t".join([
+        raw_label(rng), rng.choice(["usedFor", "hasProperty", "madeOf"]), raw_label(rng),
+        rng.choice(["1.5", "2", "0", "-1", "0.25"])])),
+    "coloc": (load_coloc, lambda rng: f"{raw_label(rng)}\t{raw_label(rng)}\t{rng.randint(0, 9)}"),
+    "vsim": (read_vsim_tsv, lambda rng: f"{raw_label(rng)}\t{raw_label(rng)}\t0.5"),
+}
+
+
+def load_outcome(load, path, caplog):
+    caplog.clear()
+    try:
+        result = load(path)
+    except LoadError as exc:
+        return str(exc), exc.line
+    return result, [record.getMessage() for record in caplog.records]
+
+
+class TestLabelFieldsCanonicalisedOnce:
+    """Each loader keeps one `CanonLabels` per load; its tables, errors and
+    warnings are those of calling `canon_label` on every field."""
+
+    @pytest.mark.parametrize("name", CANON_LOADERS)
+    def test_matches_canon_label_on_every_field(self, name, tmp_path, caplog, monkeypatch):
+        load, row = CANON_LOADERS[name]
+        rng = random.Random(f"canon:{name}")
+        path = tmp_path / f"{name}.tsv"
+        errors = 0
+        for _ in range(60):
+            n_rows = rng.randint(1, 4) if name == "vsim" else rng.randint(0, 40)
+            path.write_text("".join(row(rng) + "\n" for _ in range(n_rows)), encoding="utf-8")
+            got = load_outcome(load, path, caplog)
+            with monkeypatch.context() as patch:
+                patch.setattr(knowledge, "CanonLabels", EveryField)
+                patch.setattr(vsim, "CanonLabels", EveryField)
+                assert load_outcome(load, path, caplog) == got
+            errors += isinstance(got[0], str)
+        assert 0 < errors < 60  # some files load whole, some fail
+
+    def test_an_empty_label_raises_at_its_first_row(self, tmp_path):
+        path = write(tmp_path, "c.tsv", "a\tb\t1\n \tb\t2\nc\t \t3\n")
+        with pytest.raises(LoadError, match="empty label") as err:
+            load_coloc(path)
+        assert err.value.line == 2
+
+    def test_a_failed_field_is_not_kept(self):
+        canon = CanonLabels()
+        for _ in range(2):
+            with pytest.raises(ValueError, match="empty label"):
+                canon["  "]
+        assert canon["  Tennis  Ball"] == "tennis ball"
+        assert canon == {"  Tennis  Ball": "tennis ball"}

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import random
 import sys
 import threading
 import weakref
@@ -369,6 +370,157 @@ class TestTable:
             table("c", "a")  # "c" is not one of the labels
         with pytest.raises(LookupError):
             table("a", "z")
+
+
+def entry_reference(emb, label):
+    """A label's vector and norm as `Relatedness` worked them out before the
+    embedding table kept its tokens' norms."""
+    vec = emb.label_vector(label)
+    if vec is not None:
+        norm = float(np.linalg.norm(vec))
+        if norm != 0.0:
+            return vec, norm
+    return None
+
+
+def table_reference(rel, labels, extra=()):
+    """`Relatedness.table` as it was before the loader's norms, the cached
+    mirror indices and the in-place clamps and blend, kept as its reference:
+    (index, cosines, co-location terms, blended values) at `rel.delta`."""
+    index = {label: i for i, label in enumerate(dict.fromkeys([*labels, *extra]))}
+    n = len(dict.fromkeys(labels))
+    zero = np.zeros(rel.emb.dim)
+    entries = [entry_reference(rel.emb, label) or (zero, 1.0) for label in index]
+    mat = np.array([vec for vec, _ in entries]).reshape(len(index), rel.emb.dim)
+    norms = np.array([norm for _, norm in entries])
+    cos = (mat[:n] @ mat.T) / np.outer(norms[:n], norms)
+    cos = np.minimum(1.0, np.maximum(0.0, cos))
+    square, lower = cos[:, :n], np.tril_indices(n, -1)
+    square[lower] = square.T[lower]
+
+    co = np.zeros_like(cos)
+    coloc, max_count = rel.coloc_table, rel.coloc_table.max_count
+    if max_count:
+        for i, a in zip(range(n), index):
+            for b, count in coloc.neighbors(a).items():
+                j = index.get(b)
+                if j is not None:
+                    co[i, j] = count / max_count
+    return index, cos, co, blend_reference(cos, co, rel.delta)
+
+
+def blend_reference(cos, co, delta):
+    return np.minimum(1.0, np.maximum(0.0, delta * cos + (1.0 - delta) * co))
+
+
+def random_component(rng):
+    kind = rng.random()
+    if kind < 0.1:
+        return 0.0
+    if kind < 0.15:
+        return rng.choice([5e-324, -1e-310, 2.5e-308])  # subnormal or nearly
+    if kind < 0.2:
+        return rng.uniform(-1, 1) * 10.0 ** rng.randint(-150, 150)
+    return rng.gauss(0, 1)
+
+
+def random_store(rng):
+    """A `Relatedness` over up to 10 tokens (some with a zero vector, some
+    all subnormal) and co-location counts among labels in and out of the
+    blocks drawn from it, max_count 0 in some stores."""
+    dim = rng.choice([0, 1, 3, 8])
+    words = [f"t{i}" for i in range(rng.randint(0, 10))]
+    vectors = {}
+    for word in words:
+        roll = rng.random()
+        if roll < 0.1:
+            vec = [0.0] * dim
+        elif roll < 0.15:
+            vec = [rng.choice([5e-324, -5e-324, 0.0]) for _ in range(dim)]
+        else:
+            vec = [random_component(rng) for _ in range(dim)]
+        vectors[word] = np.array(vec, dtype=float)
+    # half the stores keep the norms the loader computes, half work them out
+    norms = {t: math.sqrt(v @ v) for t, v in vectors.items()} if rng.random() < 0.5 else None
+    table = EmbeddingTable(dim=dim, vectors=vectors, norms=norms)
+    pool = random_labels(rng, words, 12)
+    counts = {}
+    if rng.random() < 0.85:
+        others = pool + ["far", "away label"]  # neighbours no block holds
+        for _ in range(rng.randint(0, 20)):
+            counts[(rng.choice(pool), rng.choice(others))] = rng.choice([0, 1, 2, 7, 1000, 3**40])
+    delta = rng.choice([0.0, 0.5, 1.0, rng.random()])
+    return Relatedness(table, ColocTable(counts), delta), pool
+
+
+def random_labels(rng, words, k):
+    """`k` labels: single tokens, multiword labels, out-of-vocabulary words
+    and labels with one token in the vocabulary."""
+    vocab = words + ["oov", "x"]
+    return [" ".join(rng.choice(vocab) for _ in range(rng.choice([1, 1, 1, 2, 3])))
+            for _ in range(k)]
+
+
+def assert_table_is_reference(rel, labels, extra):
+    table = rel.table(labels, extra)
+    index, cos, co, values = table_reference(rel, labels, extra)
+    assert list(table._index.items()) == list(index.items())
+    for got, want in ((table._cos, cos), (table._co, co), (table._values, values)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    for delta in (0.25, 1.0 - rel.delta):
+        blended = table.blend(delta)._values
+        assert blended.tobytes() == blend_reference(cos, co, delta).tobytes()
+
+
+class TestTableOracle:
+    """`Relatedness.table` against `table_reference` on seeded random
+    stores: the index, cosines, co-location terms and blends, bit for bit."""
+
+    def test_matches_reference(self):
+        rng = random.Random("srel-table")
+        for _ in range(300):
+            rel, pool = random_store(rng)
+            for n in (0, 1, 2, rng.randint(3, 9)):
+                # repeated labels, and extra labels that are labels too or not
+                labels = [rng.choice(pool) for _ in range(n)]
+                extra = [rng.choice(pool + labels) for _ in range(rng.randint(0, 8))]
+                extra += random_labels(rng, list(rel.emb.vectors), rng.randint(0, 3))
+                assert_table_is_reference(rel, labels, extra)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_small_blocks(self, n):
+        table = emb(t0=[1.0, 0.5, -0.25], t1=[0.3, 1.0, 0.7], t2=[0.0, 0.0, 0.0])
+        counts = {("t0", "t1"): 4, ("t1", "far"): 9, ("t0 t1", "oov"): 2}
+        for cl in (ColocTable(counts), ColocTable({("t0", "t1"): 0})):
+            rel = Relatedness(table, cl, delta=0.5)
+            labels = ["t0 t1", "t1", "t1"][:n]
+            assert_table_is_reference(rel, labels, ["t2", "oov", "t0", "t0 t1"])
+            assert_table_is_reference(rel, labels, [])
+
+
+class TestTableCaches:
+    def test_mirror_indices_are_read_only_and_bounded(self):
+        lower = relatedness._lower_triangle(5)
+        assert [at.tolist() for at in lower] == [at.tolist() for at in np.tril_indices(5, -1)]
+        assert not any(at.flags.writeable for at in lower)
+        info = relatedness._lower_triangle.cache_info()
+        assert info.maxsize == relatedness.MIRROR_CACHE
+        try:
+            for n in range(relatedness.MIRROR_CACHE + 5):
+                relatedness._lower_triangle(n)
+            assert relatedness._lower_triangle.cache_info().currsize == relatedness.MIRROR_CACHE
+        finally:
+            relatedness._lower_triangle.cache_clear()
+
+    def test_blend_at_own_delta_is_the_table(self):
+        rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8]), ColocTable({("a", "b"): 2}), 0.4)
+        table = rel.table(["a", "b"])
+        assert table.blend(0.4) is table
+        other = table.blend(0.7)
+        assert other is not table
+        assert other.blend(0.7) is other
+        assert other("a", "b") == Relatedness(rel.emb, rel.coloc_table, 0.7).srel("a", "b")
 
 
 class TestImageCoherence:
