@@ -155,6 +155,7 @@ def cmd_mine_vsim(args) -> int:
     validate_paths(args.corpus)
     records, skipped = read_detections_jsonl(args.corpus)
     acc = accumulate(records)
+    del records  # folded in: free them before the table is built
     table = finalize(acc)
     write_vsim_tsv(table, args.out)
     print(f"mined {len(table)} label pairs over {len(table.labels())} labels "

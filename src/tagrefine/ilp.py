@@ -493,7 +493,13 @@ def solve_exact(inst: IlpInstance) -> Assignment:
     if whole_at:
         # only branching nodes read the bound tables
         bounds, order = _child_bounds(inst, budget, visual_cap, max_abs)
-    dfs(0, 0.0, 0, np.zeros(n_abs), inst.unary)
+    try:
+        dfs(0, 0.0, 0, np.zeros(n_abs), inst.unary)
+    finally:
+        # `dfs` reaches itself, and through `whole` and `leaf` the instance,
+        # by its closure cell; clearing the cell frees them all on return
+        # instead of leaving them to the cyclic GC
+        dfs = None
     return Assignment(best_choice, best_abstract, best_obj)
 
 

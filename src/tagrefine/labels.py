@@ -25,12 +25,18 @@ class CanonLabels(dict):
     """Raw text -> its :func:`canon_label`, worked out on first lookup.
 
     A loader keeps one for a load, so each distinct field is canonicalised
-    once however often it repeats. Text that fails is not kept: it raises
+    once however often it repeats, and every text with the same canonical
+    form maps to one string object. Text that fails is not kept: it raises
     the same ValueError wherever it occurs.
     """
 
+    def __init__(self):
+        super().__init__()
+        self._shared: dict[str, str] = {}  # canonical label -> its one object
+
     def __missing__(self, text: str) -> str:
-        label = self[text] = canon_label(text)
+        label = canon_label(text)
+        label = self[text] = self._shared.setdefault(label, label)
         return label
 
 

@@ -149,8 +149,7 @@ class Relatedness:
         # the matrix product need not sum (a, b) and (b, a) alike; both take
         # the value computed with the earlier label first. Co-location is
         # symmetric already, so every blend of the table is too.
-        square, lower = cos[:, :n], _lower_triangle(n)
-        square[lower] = square.T[lower]
+        _mirror_upper(cos[:, :n])
 
         co = np.zeros_like(cos)
         coloc, max_count = self.coloc_table, self.coloc_table.max_count
@@ -161,6 +160,13 @@ class Relatedness:
                     if j is not None:
                         co[i, j] = count / max_count
         return SrelTable(index, cos, co, self.delta)
+
+
+def _mirror_upper(square: np.ndarray) -> None:
+    """Copy the strict upper triangle of `square` onto its lower one, in
+    place: [j, i] takes [i, j] for every i < j."""
+    lower = _lower_triangle(len(square))
+    square[lower] = square.T[lower]
 
 
 @lru_cache(maxsize=MIRROR_CACHE)

@@ -11,13 +11,20 @@ ratio
 which is 1.0 for labels that only ever appear together and 0.0 for labels
 that never share a box.
 
-The sums are exact. Every finite double is an integer multiple of 2^-1074,
-the smallest subnormal, so each confidence is held as the Python int
-conf * 2^1074 and the sums are plain int additions: no rounding, and the
-same result under any record order. The ratio is one int true division.
+The sums are exact. Every finite double is n / 2^k for ints n and
+0 <= k <= 1074, so it is an integer multiple of 2^-E for any E >= k. The
+accumulator holds each sum as an int counting units of 2^-E, with E the
+largest k of any confidence seen so far rounded up to a multiple of 64 (at
+least 64); a larger k shifts the sums held so far left to the new E. The
+sums are then plain int additions: no rounding, and, since the final E
+depends only on the largest k, the same ints under any record order. The
+ratio is one int true division. Its value does not depend on E, and
 CPython rounds it correctly, as it does float() of the same rational held
 as a Fraction, so each score is the double nearest the exact ratio and the
 table is the same, bit for bit, as one built from exact rational sums.
+A confidence of 2^-7 (about 0.008) or more has k <= 59, so a corpus of
+such confidences stays at E = 64, and its sums are ints of a few 30-bit
+digits rather than the 1,075 bits that one fixed unit of 2^-1074 needs.
 """
 
 from __future__ import annotations
@@ -29,13 +36,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, KeysView
 
 from .errors import LoadError
-from .labels import CanonLabels, canon_label
+from .labels import CanonLabels
 from .textio import data_lines, json_str, tsv_fields
 
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BoundingBox:
     box_id: str
     candidates: tuple[tuple[str, float], ...]  # (label, conf), conf > 0
@@ -44,7 +51,7 @@ class BoundingBox:
         return tuple(label for label, _ in self.candidates)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DetectionRecord:
     """One image's boxes; a confidence that is not finite and > 0, a box id
     given twice in the image, a label given twice in one box, or an id or
@@ -84,6 +91,10 @@ class DetectionRecord:
 
 _NO_NEIGHBORS: dict[str, float] = {}
 
+# a pair's key is lo << _ID_BITS | hi for its lower and higher label ids
+_ID_BITS = 32
+_ID_MASK = (1 << _ID_BITS) - 1
+
 
 def _pair(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
@@ -92,36 +103,82 @@ def _pair(a: str, b: str) -> tuple[str, str]:
 class MiningAccumulator:
     """Streaming sums behind the similarity ratio.
 
-    Each sum is an int that counts units of 2^-1074, so it is the exact sum
-    of the float confidences, whatever their size, and the finalized table
-    is identical under any record order. Dividing two sums gives the same
-    correctly rounded double as dividing the exact rationals.
+    Each label gets an int id when first seen. Its total is `_totals[id]`;
+    a pair's sum is `_pairs[lo << 32 | hi]` for its two ids, lo < hi.
+    Every sum is an int counting units of 2^-`scale`: the largest
+    denominator exponent of any confidence seen so far, rounded up to a
+    multiple of 64, so each sum is the exact sum of the float confidences,
+    whatever their size (module docstring). `scale` depends only on the
+    confidences seen, so the sums, and the finalized table, are the same
+    under any record order. Dividing two sums gives the same correctly
+    rounded double as dividing the exact rationals.
     """
 
     def __init__(self):
-        self.pair_conf: dict[tuple[str, str], int] = {}
-        self.total_conf: dict[str, int] = {}
+        self._ids: dict[str, int] = {}
+        self._labels: list[str] = []
+        self._totals: list[int] = []
+        self._pairs: dict[int, int] = {}
+        self.scale = 64
         self.records_seen = 0
+
+    def _rescale(self, k: int) -> int:
+        """Raise `scale` to hold a confidence of denominator 2^k exactly;
+        returns how far the sums held so far were shifted left."""
+        scale = -(-k // 64) * 64
+        shift = scale - self.scale
+        self._totals[:] = [total << shift for total in self._totals]
+        pairs = self._pairs
+        for key in pairs:
+            pairs[key] <<= shift
+        self.scale = scale
+        return shift
 
     def add(self, record: DetectionRecord) -> None:
         """Fold one record in."""
-        pair_conf, total_conf = self.pair_conf, self.total_conf
+        ids, labels, totals, pairs = self._ids, self._labels, self._totals, self._pairs
+        scale = self.scale
         for box in record.boxes:
             cands = []
             for label, conf in box.candidates:
-                # conf is n / 2^k with k <= 1074, and d = 2^k has k + 1 bits,
-                # so this is conf * 2^1074 exactly
+                # conf is n / d with d = 2^k, which has k + 1 bits, so this
+                # is conf * 2^scale exactly once k <= scale
                 n, d = conf.as_integer_ratio()
-                scaled = n << (1075 - d.bit_length())
-                cands.append((label, scaled))
-                total_conf[label] = total_conf.get(label, 0) + scaled
-            for i in range(len(cands)):
-                la, ca = cands[i]
-                for j in range(i + 1, len(cands)):
-                    lb, cb = cands[j]
-                    key = _pair(la, lb)
-                    pair_conf[key] = pair_conf.get(key, 0) + ca + cb
+                shift = scale + 1 - d.bit_length()
+                if shift < 0:
+                    # the box's earlier candidates move to the new scale too
+                    moved = self._rescale(d.bit_length() - 1)
+                    cands = [(i, c << moved) for i, c in cands]
+                    scale = self.scale
+                    shift += moved
+                scaled = n << shift
+                i = ids.get(label)
+                if i is None:
+                    i = ids[label] = len(labels)
+                    labels.append(label)
+                    totals.append(scaled)
+                else:
+                    totals[i] += scaled
+                cands.append((i, scaled))
+            for x in range(len(cands)):
+                ia, ca = cands[x]
+                for y in range(x + 1, len(cands)):
+                    ib, cb = cands[y]
+                    key = ia << _ID_BITS | ib if ia < ib else ib << _ID_BITS | ia
+                    pairs[key] = pairs.get(key, 0) + ca + cb
         self.records_seen += 1
+
+    @property
+    def total_conf(self) -> dict[str, int]:
+        """label -> its total, in units of 2^-`scale`, in first-seen order."""
+        return dict(zip(self._labels, self._totals))
+
+    @property
+    def pair_conf(self) -> dict[tuple[str, str], int]:
+        """(a, b), a < b -> the pair's sum, in units of 2^-`scale`."""
+        labels = self._labels
+        return {_pair(labels[key >> _ID_BITS], labels[key & _ID_MASK]): num
+                for key, num in self._pairs.items()}
 
 
 def accumulate(corpus: Iterable[DetectionRecord]) -> MiningAccumulator:
@@ -181,11 +238,12 @@ def finalize(acc: MiningAccumulator) -> VsimTable:
     its denominator is positive because both labels were observed. A label
     pair that never shared a box is not stored (implicit score 0).
     """
-    total = acc.total_conf
-    return VsimTable({
-        (a, b): num / (total[a] + total[b])
-        for (a, b), num in acc.pair_conf.items()
-    })
+    labels, totals = acc._labels, acc._totals
+    table = VsimTable()
+    for key, num in acc._pairs.items():
+        lo, hi = key >> _ID_BITS, key & _ID_MASK
+        table._put(labels[lo], labels[hi], num / (totals[lo] + totals[hi]))
+    return table
 
 
 def similar_set(table: VsimTable, label: str, tau_s: float) -> set[str]:
@@ -201,8 +259,9 @@ def similar_set(table: VsimTable, label: str, tau_s: float) -> set[str]:
 
 # --- corpus and table serialization -----------------------------------------
 
-def parse_record(obj: dict) -> DetectionRecord:
-    """Build a DetectionRecord from one decoded corpus JSON object."""
+def parse_record(obj: dict, canon: CanonLabels) -> DetectionRecord:
+    """Build a DetectionRecord from one decoded corpus JSON object; labels
+    are canonicalised through `canon`."""
     try:
         image_id = json_str(obj["image"])
         boxes = []
@@ -213,7 +272,7 @@ def parse_record(obj: dict) -> DetectionRecord:
                 # a JSON number only: float() would also take true and "0.5"
                 if type(conf) not in (float, int):
                     raise ValueError(f"confidence {conf!r} is not a number")
-                cands.append((canon_label(c["label"]), float(conf)))
+                cands.append((canon[json_str(c["label"])], float(conf)))
             boxes.append(BoundingBox(box_id=json_str(box_obj["id"]), candidates=tuple(cands)))
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValueError(f"malformed detection record: {exc}") from exc
@@ -225,14 +284,15 @@ def read_detections_jsonl(path) -> tuple[list[DetectionRecord], int]:
 
     Malformed or invariant-breaking lines are skipped with a warning;
     returns (records, skipped_count). Duplicate image ids keep the first
-    occurrence.
+    occurrence. Every occurrence of a label is the same string object.
     """
+    canon = CanonLabels()
     records: list[DetectionRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
     for lineno, line in data_lines(path):
         try:
-            record = parse_record(json.loads(line))
+            record = parse_record(json.loads(line), canon)
             if record.image_id in seen_ids:
                 raise ValueError(f"duplicate image id {record.image_id!r}")
         except ValueError as exc:

@@ -1,6 +1,8 @@
+import gc
 import io
 import math
 import random
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -191,6 +193,22 @@ class TestLayoutCache:
 
 
 class TestSolveExact:
+    @pytest.mark.parametrize("branching", [False, True])
+    def test_instance_freed_without_the_cyclic_gc(self, branching, request):
+        if branching:
+            request.getfixturevalue("every_node_branches")
+        inst = dense_instance(random.Random(3), 4, 3, 4)
+        alive = weakref.ref(inst)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            solve_exact(inst)
+            del inst
+            assert alive() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_empty_instance(self):
         inst = instance(box_labels=(), unary=(), abstract_labels=(),
                         z={}, w={}, budget=5, visual_cap=None)

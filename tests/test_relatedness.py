@@ -499,6 +499,24 @@ class TestTableOracle:
             assert_table_is_reference(rel, labels, [])
 
 
+class TestMirrorCopy:
+    """This machine's BLAS may return a bit-symmetric product, so the copy's
+    direction is checked on squares that are not symmetric."""
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_upper_triangle_is_copied_onto_the_lower(self, n):
+        square = np.arange(n * n, dtype=float).reshape(n, n) ** 1.5
+        before = square.copy()
+        relatedness._mirror_upper(square)
+        # the upper triangle and the diagonal stay; [j, i] takes [i, j]
+        assert square.tolist() == (np.triu(before) + np.triu(before, 1).T).tolist()
+
+    def test_copies_within_a_view_of_a_wider_block(self):
+        block = np.arange(12, dtype=float).reshape(3, 4)
+        relatedness._mirror_upper(block[:, :3])
+        assert block.tolist() == [[0, 1, 2, 3], [1, 5, 6, 7], [2, 6, 10, 11]]
+
+
 class TestTableCaches:
     def test_mirror_indices_are_read_only_and_bounded(self):
         lower = relatedness._lower_triangle(5)

@@ -1,4 +1,7 @@
 import json
+import math
+import random
+import struct
 from fractions import Fraction
 
 import pytest
@@ -29,12 +32,9 @@ def record(image_id, *boxes):
     return DetectionRecord(image_id=image_id, boxes=tuple(boxes))
 
 
-UNIT = 1 << 1074  # a mining sum counts units of 2^-1074
-
-
-def exact(value):
-    """The rational number a mining sum stands for."""
-    return Fraction(value, UNIT)
+def exact(acc, value):
+    """The rational number a mining sum of `acc` stands for."""
+    return Fraction(value, 1 << acc.scale)
 
 
 def fraction_sums(corpus):
@@ -60,22 +60,22 @@ class TestAccumulate:
     def test_single_box(self):
         acc = accumulate([record("i1", box("b1", a=0.6, b=0.4))])
         assert list(acc.pair_conf) == [("a", "b")]
-        assert exact(acc.pair_conf[("a", "b")]) == Fraction(0.6) + Fraction(0.4)
-        assert float(exact(acc.pair_conf[("a", "b")])) == pytest.approx(1.0)
+        assert exact(acc, acc.pair_conf[("a", "b")]) == Fraction(0.6) + Fraction(0.4)
+        assert float(exact(acc, acc.pair_conf[("a", "b")])) == pytest.approx(1.0)
         assert list(acc.total_conf) == ["a", "b"]
-        assert exact(acc.total_conf["a"]) == Fraction(0.6)
-        assert exact(acc.total_conf["b"]) == Fraction(0.4)
+        assert exact(acc, acc.total_conf["a"]) == Fraction(0.6)
+        assert exact(acc, acc.total_conf["b"]) == Fraction(0.4)
 
     def test_two_boxes_hand_sums(self):
         acc = accumulate([
             record("i1", box("b1", a=0.6, b=0.4)),
             record("i2", box("b1", a=0.5)),
         ])
-        assert exact(acc.total_conf["a"]) == Fraction(0.6) + Fraction(0.5)
-        assert float(exact(acc.total_conf["a"])) == pytest.approx(1.1)
-        assert exact(acc.total_conf["b"]) == Fraction(0.4)
-        assert exact(acc.pair_conf[("a", "b")]) == Fraction(0.6) + Fraction(0.4)
-        assert float(exact(acc.pair_conf[("a", "b")])) == pytest.approx(1.0)
+        assert exact(acc, acc.total_conf["a"]) == Fraction(0.6) + Fraction(0.5)
+        assert float(exact(acc, acc.total_conf["a"])) == pytest.approx(1.1)
+        assert exact(acc, acc.total_conf["b"]) == Fraction(0.4)
+        assert exact(acc, acc.pair_conf[("a", "b")]) == Fraction(0.6) + Fraction(0.4)
+        assert float(exact(acc, acc.pair_conf[("a", "b")])) == pytest.approx(1.0)
 
     def test_nonpositive_conf_rejects_record(self):
         with pytest.raises(ValueError, match="non-positive confidence 0.0 for 'a'"):
@@ -104,6 +104,99 @@ class TestFinalize:
         table = finalize(accumulate(corpus))
         assert table.get("a", "b") == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert table.get("b", "a") == table.get("a", "b")
+
+
+def assert_matches_fraction_reference(corpus, acc):
+    """`acc`'s exact sums, and the score bits of its table, against
+    `fraction_sums` of `corpus`."""
+    pair, total = fraction_sums(corpus)
+    assert {key: exact(acc, value) for key, value in acc.pair_conf.items()} == pair
+    assert {label: exact(acc, value) for label, value in acc.total_conf.items()} == total
+    expected = {(a, b): float(value / (total[a] + total[b])).hex()
+                for (a, b), value in pair.items()}
+    assert {(a, b): score.hex() for a, b, score in finalize(acc).pairs()} == expected
+
+
+class TestScale:
+    """The sums count units of 2^-scale: the largest denominator exponent
+    seen, rounded up to a multiple of 64."""
+
+    @pytest.mark.parametrize("conf, scale", [
+        (1.0, 64), (0.5, 64), (2.0 ** -64, 64), (2.0 ** -65, 128), (0.1, 64),
+        (2.0 ** -960, 960), (2.0 ** -1000, 1024), (1e-300, 1088), (5e-324, 1088),
+        (1e308, 64),
+    ])
+    def test_scale_of_one_confidence(self, conf, scale):
+        assert accumulate([]).scale == 64
+        acc = accumulate([record("i1", box("b", a=conf))])
+        assert acc.scale == scale
+        assert exact(acc, acc.total_conf["a"]) == Fraction(conf)
+
+    @pytest.mark.parametrize("first, then", [(0.5, 5e-324), (5e-324, 0.5)])
+    def test_rescale_in_either_order(self, first, then):
+        # within a box (the box's earlier candidates move too) and across records
+        corpus = [
+            record("i1", box("b", a=first, b=then, c=0.25)),
+            record("i2", box("b", b=first), box("c", a=then, c=first)),
+            record("i3", box("b", a=first, b=first)),
+        ]
+        acc = accumulate(corpus)
+        assert acc.scale == 1088
+        assert_matches_fraction_reference(corpus, acc)
+        assert acc.pair_conf == accumulate(corpus[::-1]).pair_conf
+
+    def test_huge_confidences(self):
+        # 1e308 + 1e308 overflows a double, not the exact sums
+        corpus = [
+            record("i1", box("b", a=1e308, b=1e308)),
+            record("i2", box("b", a=1e308, c=5e-324)),
+            record("i3", box("b", c=1.7976931348623157e308, d=0.5)),
+        ]
+        acc = accumulate(corpus)
+        assert acc.scale == 1088
+        assert_matches_fraction_reference(corpus, acc)
+        assert finalize(acc).get("a", "b") == 2.0 / 3.0
+
+
+SPECIAL_CONFS = [5e-324, 1e-323, 2.2250738585072014e-308, 0.5, 1.0, 1e308]
+
+
+def wide_conf(rng):
+    """A confidence from the mix of `WIDE_CONFS`: an edge value, a small
+    subnormal-range one, or any double from 5e-324 to 1e308 by its bits."""
+    pick = rng.random()
+    if pick < 0.15:
+        return rng.choice(SPECIAL_CONFS)
+    if pick < 0.3:
+        return rng.uniform(5e-324, 1e-300)
+    if pick < 0.6:
+        return rng.uniform(0.05, 1.0)
+    while True:
+        conf = struct.unpack("<d", struct.pack("<Q", rng.getrandbits(63)))[0]
+        if 5e-324 <= conf <= 1e308:
+            return conf
+
+
+def scale_corpus(seed=0, n_records=2000, n_labels=300):
+    rng = random.Random(seed)
+    labels = [f"label {n}" for n in range(n_labels)]
+    corpus = []
+    for n in range(n_records):
+        boxes = []
+        for b in range(rng.randint(1, 3)):
+            cands = rng.sample(labels, rng.randint(1, 5))
+            boxes.append(BoundingBox(f"b{b}", tuple((label, wide_conf(rng)) for label in cands)))
+        corpus.append(DetectionRecord(f"i{n}", tuple(boxes)))
+    return corpus
+
+
+class TestAtScale:
+    def test_sums_and_scores_match_fraction_reference(self):
+        corpus = scale_corpus()
+        acc = accumulate(corpus)
+        assert acc.scale == 1088
+        assert len(acc.total_conf) == 300 and len(acc.pair_conf) > 10_000
+        assert_matches_fraction_reference(corpus, acc)
 
 
 class TestSimilarSet:
@@ -176,8 +269,9 @@ class TestProperties:
     def test_sums_and_scores_match_fraction_reference(self, corpus):
         pair, total = fraction_sums(corpus)
         acc = accumulate(corpus)
-        assert acc.pair_conf == {key: value * UNIT for key, value in pair.items()}
-        assert acc.total_conf == {label: value * UNIT for label, value in total.items()}
+        unit = 1 << acc.scale  # the accumulator's own unit, 2^-scale
+        assert acc.pair_conf == {key: value * unit for key, value in pair.items()}
+        assert acc.total_conf == {label: value * unit for label, value in total.items()}
         expected = {(a, b): float(value / (total[a] + total[b]))
                     for (a, b), value in pair.items()}
         got = {(a, b): score for a, b, score in finalize(acc).pairs()}
@@ -226,6 +320,33 @@ class TestSerialization:
         records, skipped = read_detections_jsonl(path)
         assert len(records) == 1  # second good line is a duplicate image id
         assert skipped == 2
+
+    @pytest.mark.parametrize("label", [7, None, True, ["a"]])
+    def test_corpus_reader_skips_a_label_that_is_not_a_string(self, tmp_path, caplog, label):
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"image": image, "boxes": [{"id": "b", "candidates": [
+            {"label": "a", "conf": 0.5}, {"label": text, "conf": 0.5}]}]}
+            for image, text in (("i1", label), ("i2", "b"))]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        records, skipped = read_detections_jsonl(path)
+        assert [r.image_id for r in records] == ["i2"] and skipped == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:1 skipped: malformed detection record: expected a string, got {label!r}"]
+
+    def test_corpus_reader_shares_one_string_per_label(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        spellings = ["Dog", "dog", " dog ", "cat", "CAT", "dog"]
+        path.write_text("".join(
+            json.dumps({"image": f"i{n}", "boxes": [{"id": "b", "candidates": [
+                {"label": text, "conf": 0.5}, {"label": "Bird", "conf": 0.25}]}]}) + "\n"
+            for n, text in enumerate(spellings)))
+        records, skipped = read_detections_jsonl(path)
+        assert skipped == 0
+        labels = [label for r in records for bx in r.boxes for label in bx.labels()]
+        assert sorted(set(labels)) == ["bird", "cat", "dog"]
+        assert len({id(label) for label in labels}) == 3
+        for obj in (records[0], records[0].boxes[0]):
+            assert not hasattr(obj, "__dict__")
 
     def test_corpus_reader_missing_file(self, tmp_path):
         with pytest.raises(LoadError):

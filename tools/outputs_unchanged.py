@@ -15,7 +15,10 @@ WORK/change with the same relative output paths:
 * `mine`: the benchmark's `mine-vsim` run and its `vsim.tsv`;
 * `fixture`: on BASE's `tests/fixtures` (only read), `mine-vsim`, then
   `refine` with the mined table, then `eval` of that output against the
-  judgments, then `tune` with the gold labels.
+  judgments, then `tune` with the gold labels;
+* `rescale`: `mine-vsim` on a corpus this tool writes under WORK/data,
+  whose confidences span the double range (subnormals up to 1e308, mixed
+  within boxes), so the sums change scale part way through.
 
 Every file written, and every command's standard output and error, must be
 the same byte for byte in both trees. Exits 1, naming each file that differs
@@ -24,7 +27,9 @@ or exists on one side only, when one does; 0 when none does.
 
 from __future__ import annotations
 
+import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -49,6 +54,34 @@ FIXTURE_CHAIN = {
     "tune": ["tune", "--train", "{fx}/detections.jsonl", "--gold", "{fx}/gold.jsonl",
              "--trials", "5", "--seed", "11", "--out", "{out}/trials.tsv", *FIXTURE_STORE],
 }
+
+
+# label n draws its confidences from class n % 4, so each class's pairs get
+# scores that its own magnitudes decide
+CONF_CLASSES = [
+    [0.05, 0.25, 0.5, 0.87, 1.0],
+    [5e-324, 1e-323, 2.5e-323, 2.2250738585072014e-308],
+    [2.0 ** -70, 1e-300, 3e-300],
+    [3.0, 1e308, 1.7976931348623157e308],
+]
+
+
+def write_rescale_corpus(path: Path, n_records: int = 600, n_labels: int = 40) -> None:
+    """A corpus of valid records. The first third's labels are those with
+    plain decimal confidences, so the sums are held at one scale before the
+    first subnormal or tiny confidence raises it, often part way through a
+    box; the rest mix every class of label within a box."""
+    rng = random.Random(SEED)
+    plain = [n for n in range(n_labels) if n % len(CONF_CLASSES) == 0]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(n_records):
+            pool = plain if n < n_records // 3 else range(n_labels)
+            boxes = [{"id": f"b{b}", "candidates": [
+                {"label": f"label {m}", "conf": rng.choice(CONF_CLASSES[m % len(CONF_CLASSES)])}
+                for m in rng.sample(pool, rng.randint(1, min(5, len(pool))))]}
+                for b in range(rng.randint(1, 3))]
+            fh.write(json.dumps({"image": f"i{n}", "boxes": boxes}) + "\n")
 
 
 def env(tree: Path) -> dict:
@@ -76,6 +109,9 @@ def run_all(tree: Path, side: Path, data: Path, fixtures: Path) -> None:
                                   *(a.format(out=out) for a in extra)])
     for step, argv in FIXTURE_CHAIN.items():
         run(tree, side, f"fixture/{step}", [a.format(fx=fixtures, out="fixture") for a in argv])
+    run(tree, side, "rescale/mine-vsim", ["mine-vsim", "--corpus",
+                                          str(data / "rescale" / "corpus.jsonl"),
+                                          "--out", "rescale/vsim.tsv"])
 
 
 def files(root: Path) -> dict[Path, bytes]:
@@ -101,6 +137,7 @@ def main(argv=None) -> int:
                             "--workload", name, "--seed", str(SEED),
                             "--out", str(data / name)],
                            env=env(base), check=True, stdout=subprocess.DEVNULL)
+    write_rescale_corpus(data / "rescale" / "corpus.jsonl")
     fixtures = base / "tests" / "fixtures"
     run_all(base, work / "base", data, fixtures)
     run_all(change, work / "change", data, fixtures)
