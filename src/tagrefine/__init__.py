@@ -10,7 +10,6 @@ exact 0-1 integer linear program.
 from .errors import (
     ConfigError,
     ContractViolation,
-    InstanceTooLarge,
     LoadError,
     TagRefineError,
 )
@@ -22,7 +21,6 @@ __all__ = [
     "ConfigError",
     "ContractViolation",
     "Hyperparameters",
-    "InstanceTooLarge",
     "LoadError",
     "TagRefineError",
     "__version__",

@@ -15,10 +15,10 @@ import numpy as np
 
 from .errors import ConfigError
 from .knowledge import KnowledgeStore
-from .labels import Origin
+from .labels import Origin, PairTable
 from .relatedness import Relatedness, SrelTable
 from .scoring import Hyperparameters, SrelFn, gconf, vconf
-from .vsim import BoundingBox, DetectionRecord, VsimTable, similar_set
+from .vsim import BoundingBox, DetectionRecord, similar_set
 
 
 # Named tuples, not dataclasses: every image builds a few dozen of each, and
@@ -45,7 +45,7 @@ class CandidateSets:
     srel: SrelFn | None = None  # what the candidates were scored with
 
 
-def expand_similar(box: BoundingBox, vsim_table: VsimTable, tau_s: float) -> set[str]:
+def expand_similar(box: BoundingBox, vsim_table: PairTable, tau_s: float) -> set[str]:
     """Visually-similar labels the detector did not propose for this box."""
     original = set(box.labels())
     out: set[str] = set()

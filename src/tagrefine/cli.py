@@ -187,7 +187,8 @@ def cmd_refine(args) -> int:
 def _read_refined_jsonl(path) -> dict[str, list[tuple[str, Space]]]:
     return dict(json_records(path, "refined", lambda obj: (
         json_str(obj["image"]),
-        [(canon_label(entry["label"]), Space(entry["space"])) for entry in obj["labels"]])))
+        [(canon_label(json_str(entry["label"])), Space(entry["space"]))
+         for entry in json_list(obj["labels"], dict)])))
 
 
 def cmd_eval(args) -> int:

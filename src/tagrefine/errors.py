@@ -24,7 +24,3 @@ class ConfigError(TagRefineError):
 
 class ContractViolation(TagRefineError):
     """A caller broke a documented precondition."""
-
-
-class InstanceTooLarge(TagRefineError):
-    """The brute-force oracle refuses instances above its enumeration bound."""

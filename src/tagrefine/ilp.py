@@ -53,9 +53,7 @@ constraint, solved by depth-first branch and bound; see Marinescu &
 Dechter, AIJ 2009.)
 
 Ties are broken by preferring the lexicographically smallest chosen-label
-multiset, then fewer labels, then labeling earlier boxes. `brute_force`
-enumerates every feasible assignment under the same tie-break and is the
-testing oracle for `solve_exact`.
+multiset, then fewer labels, then labeling earlier boxes.
 
 Both answer in the indices they search: per box the index of its chosen
 candidate, and the chosen abstract indices. `extract_labels` attaches the
@@ -64,7 +62,6 @@ labels and their spaces once, at the end.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -73,12 +70,11 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .candidates import CandidateSets
-from .errors import ConfigError, ContractViolation, InstanceTooLarge
+from .errors import ConfigError, ContractViolation
 from .labels import GLOBAL_BOX, SPACE_OF_ORIGIN, Space
 from .relatedness import SrelTable
 from .scoring import MAX_ABSTRACT_LABELS, Hyperparameters, SrelFn
 
-BRUTE_FORCE_MAX_STATES = 10_000_000
 # A search node with at most this many joint choices left solves them whole,
 # in arrays of at most this many (or the widest box + 1) x (abstract + 1)
 # floats. Measured on the benchmark's refine workloads (README, Execution
@@ -132,12 +128,6 @@ class IlpInstance:
     @property
     def n_abstract(self) -> int:
         return len(self.abstract_labels)
-
-    def search_states(self) -> float:
-        states = 1.0
-        for labels in self.box_labels:
-            states *= 1 + len(labels)
-        return states * (2.0 ** self.n_abstract)
 
 
 def _nonzero(coef: np.ndarray) -> dict:
@@ -501,36 +491,6 @@ def solve_exact(inst: IlpInstance) -> Assignment:
         # instead of leaving them to the cyclic GC
         dfs = None
     return Assignment(best_choice, best_abstract, best_obj)
-
-
-def brute_force(inst: IlpInstance) -> Assignment:
-    """Exhaustive oracle: every feasible X/Y assignment, products for Z/W."""
-    if inst.search_states() > BRUTE_FORCE_MAX_STATES:
-        raise InstanceTooLarge(
-            f"{inst.search_states():.3g} states exceed the "
-            f"{BRUTE_FORCE_MAX_STATES} brute-force bound"
-        )
-    n = inst.n_boxes
-    best_key = None
-    best = None
-
-    options = [[None, *range(len(labels))] for labels in inst.box_labels]
-    for choice in itertools.product(*options):
-        n_vis = sum(1 for j in choice if j is not None)
-        if inst.budget is not None and n_vis > inst.budget:
-            continue
-        if inst.visual_cap is not None and n_vis > inst.visual_cap:
-            continue
-        allowance = _abstract_allowance(inst, n_vis)
-        for r in range(allowance + 1):
-            for abstract in itertools.combinations(range(inst.n_abstract), r):
-                obj = objective_value(inst, choice, abstract)
-                key = _assignment_key(inst, choice, abstract, obj)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = Assignment(choice, abstract, obj)
-    assert best is not None  # the empty assignment is always feasible
-    return best
 
 
 def truncate_to_cap(inst: IlpInstance, a: Assignment, cap: int) -> Assignment:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, Mapping
@@ -26,9 +25,8 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import LoadError
-from .labels import CanonLabels, canon_label, tokens
+from .labels import CanonLabels, PairTable, canon_label, tokens
 from .textio import data_lines, tsv_fields
-from .vsim import VsimTable
 
 log = logging.getLogger(__name__)
 
@@ -68,9 +66,6 @@ class EmbeddingTable:
         if len(in_vocab) == 1:
             return in_vocab[0]
         return np.mean(in_vocab, axis=0)
-
-    def __len__(self) -> int:
-        return len(self.vectors)
 
 
 @np.errstate(over="ignore")  # an overflowing squared norm is a LoadError, not a warning
@@ -282,42 +277,9 @@ def load_assertions(path) -> dict[str, dict[str, float]]:
 
 # --- co-location counts ----------------------------------------------------------
 
-_NO_NEIGHBORS: Mapping[str, int] = {}
-
-
-class ColocTable:
-    """Symmetric co-tagging counts, kept as label -> {neighbour: count}, and
-    their largest pair count."""
-
-    def __init__(self, counts: dict[tuple[str, str], int] | None = None):
-        self._neighbors: defaultdict[str, dict[str, int]] = defaultdict(dict)
-        self.max_count = 0
-        for (a, b), n in (counts or {}).items():
-            self._add(a, b, n)
-
-    def _add(self, a: str, b: str, n: int) -> None:
-        if a == b:
-            return
-        row = self._neighbors[a]
-        total = row[b] = row.get(b, 0) + n
-        self._neighbors[b][a] = total
-        if total > self.max_count:
-            self.max_count = total
-
-    def get(self, a: str, b: str) -> int:
-        return self._neighbors.get(a, _NO_NEIGHBORS).get(b, 0)
-
-    def neighbors(self, label: str) -> Mapping[str, int]:
-        """Every label co-tagged with `label`, and the pair's count."""
-        return self._neighbors.get(label, _NO_NEIGHBORS)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ColocTable) and self._neighbors == other._neighbors
-
-
-def load_coloc(path) -> ColocTable:
+def load_coloc(path) -> PairTable:
     """Parse `label1<TAB>label2<TAB>count`; repeated pairs (either order) sum."""
-    table = ColocTable()
+    table = PairTable()
     self_pairs = 0
     canon = CanonLabels()
     for lineno, line in data_lines(path):
@@ -333,7 +295,7 @@ def load_coloc(path) -> ColocTable:
         if a == b:
             self_pairs += 1
             continue
-        table._add(a, b, count)
+        table.add(a, b, count)
     if self_pairs:
         log.warning("%s: ignored %d self-pair rows", path, self_pairs)
     return table
@@ -348,8 +310,8 @@ class KnowledgeStore:
     embeddings: EmbeddingTable
     parents: Mapping[str, tuple[str, ...]]         # child -> sorted retained parents
     by_subject: Mapping[str, Mapping[str, float]]  # subject -> object -> highest score
-    coloc: ColocTable
-    vsim: VsimTable
+    coloc: PairTable                               # co-location counts
+    vsim: PairTable                                # mined visual similarity
 
     @classmethod
     def assemble(
@@ -357,14 +319,14 @@ class KnowledgeStore:
         embeddings: EmbeddingTable | None = None,
         parents: Mapping[str, tuple[str, ...]] | None = None,
         by_subject: Mapping[str, Mapping[str, float]] | None = None,
-        coloc: ColocTable | None = None,
-        vsim: VsimTable | None = None,
+        coloc: PairTable | None = None,
+        vsim: PairTable | None = None,
     ) -> "KnowledgeStore":
         """The store over the loaded maps, with an empty table for each one not given."""
         return cls(
             embeddings=embeddings or EmbeddingTable(dim=0, vectors={}),
             parents=parents or {},
             by_subject=by_subject or {},
-            coloc=coloc or ColocTable(),
-            vsim=vsim or VsimTable(),
+            coloc=coloc or PairTable(),
+            vsim=vsim or PairTable(),
         )

@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConfigError
-from .knowledge import ColocTable, EmbeddingTable
-from .labels import tokens
+from .knowledge import EmbeddingTable
+from .labels import PairTable, tokens
 
 # Labels whose vector and norm a `Relatedness` keeps. Worst case, each entry
 # holds a multiword label's mean vector (8 * dim bytes) and about 300 bytes
@@ -108,7 +108,7 @@ class Relatedness:
     before it, and whatever the cache evicted.
     """
 
-    def __init__(self, emb: EmbeddingTable, coloc_table: ColocTable, delta: float = 0.5):
+    def __init__(self, emb: EmbeddingTable, coloc_table: PairTable, delta: float = 0.5):
         if not 0.0 <= delta <= 1.0:
             raise ConfigError(f"delta must be in [0, 1], got {delta!r}")
         self.delta = delta
@@ -124,7 +124,7 @@ class Relatedness:
         if va is not None and vb is not None:
             cos = min(1.0, max(0.0, float(np.dot(va[0], vb[0])) / (va[1] * vb[1])))
         table = self.coloc_table
-        co = table.get(a, b) / table.max_count if table.max_count else 0.0
+        co = table.get(a, b) / table.max_value if table.max_value else 0.0
         # guard against accumulation slop at the boundaries
         return min(1.0, max(0.0, self.delta * cos + (1.0 - self.delta) * co))
 
@@ -152,13 +152,13 @@ class Relatedness:
         _mirror_upper(cos[:, :n])
 
         co = np.zeros_like(cos)
-        coloc, max_count = self.coloc_table, self.coloc_table.max_count
-        if max_count:
+        coloc, max_value = self.coloc_table, self.coloc_table.max_value
+        if max_value:
             for i, a in zip(range(n), index):
                 for b, count in coloc.neighbors(a).items():
                     j = index.get(b)
                     if j is not None:
-                        co[i, j] = count / max_count
+                        co[i, j] = count / max_value
         return SrelTable(index, cos, co, self.delta)
 
 

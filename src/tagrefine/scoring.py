@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
 
 from .errors import ConfigError, ContractViolation
-from .vsim import BoundingBox, VsimTable
+from .labels import PairTable
+from .vsim import BoundingBox
 
 SrelFn = Callable[[str, str], float]
 
@@ -70,7 +71,7 @@ class Hyperparameters:
             raise ConfigError(f"abstract_cap must be >= 1, got {self.abstract_cap!r}")
 
 
-def vconf(box: BoundingBox, label: str, vsim_table: VsimTable) -> float:
+def vconf(box: BoundingBox, label: str, vsim_table: PairTable) -> float:
     """Visual confidence of a concrete label for a box.
 
     Original detections keep their detector confidence; visually-similar

@@ -33,10 +33,10 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, KeysView
+from typing import Iterable
 
 from .errors import LoadError
-from .labels import CanonLabels
+from .labels import CanonLabels, PairTable
 from .textio import data_lines, json_str, tsv_fields
 
 log = logging.getLogger(__name__)
@@ -88,8 +88,6 @@ class DetectionRecord:
                     )
                 seen.add(label)
 
-
-_NO_NEIGHBORS: dict[str, float] = {}
 
 # a pair's key is lo << _ID_BITS | hi for its lower and higher label ids
 _ID_BITS = 32
@@ -189,49 +187,7 @@ def accumulate(corpus: Iterable[DetectionRecord]) -> MiningAccumulator:
     return acc
 
 
-class VsimTable:
-    """Symmetric sparse label-pair similarity in [0, 1], kept as
-    label -> {neighbour: score}; missing pairs are 0."""
-
-    def __init__(self, scores: dict[tuple[str, str], float] | None = None):
-        self._neighbors: dict[str, dict[str, float]] = {}
-        for (a, b), s in (scores or {}).items():
-            self._put(a, b, s)
-
-    def _put(self, a: str, b: str, score: float) -> None:
-        if a == b:
-            raise ValueError(f"self-pair {a!r}")
-        if not (0.0 <= score <= 1.0):
-            raise ValueError(f"similarity {score!r} outside [0, 1] for ({a!r}, {b!r})")
-        self._neighbors.setdefault(a, {})[b] = score
-        self._neighbors.setdefault(b, {})[a] = score
-
-    def get(self, a: str, b: str) -> float:
-        return self._neighbors.get(a, _NO_NEIGHBORS).get(b, 0.0)
-
-    def neighbors(self, label: str) -> dict[str, float]:
-        return self._neighbors.get(label, {})
-
-    def labels(self) -> KeysView[str]:
-        """Every label that has at least one stored pair."""
-        return self._neighbors.keys()
-
-    def pairs(self) -> Iterator[tuple[str, str, float]]:
-        """All stored pairs, (a, b, score) with a < b, sorted."""
-        neighbors = self._neighbors
-        for a in sorted(neighbors):
-            row = neighbors[a]
-            for b in sorted(b for b in row if b > a):
-                yield a, b, row[b]
-
-    def __len__(self) -> int:
-        return sum(map(len, self._neighbors.values())) // 2
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VsimTable) and self._neighbors == other._neighbors
-
-
-def finalize(acc: MiningAccumulator) -> VsimTable:
+def finalize(acc: MiningAccumulator) -> PairTable:
     """Close out an accumulator into the ratio table.
 
     Every stored pair has a positive sum, since every confidence is > 0, and
@@ -239,22 +195,18 @@ def finalize(acc: MiningAccumulator) -> VsimTable:
     pair that never shared a box is not stored (implicit score 0).
     """
     labels, totals = acc._labels, acc._totals
-    table = VsimTable()
+    table = PairTable()
     for key, num in acc._pairs.items():
         lo, hi = key >> _ID_BITS, key & _ID_MASK
-        table._put(labels[lo], labels[hi], num / (totals[lo] + totals[hi]))
+        table.add(labels[lo], labels[hi], num / (totals[lo] + totals[hi]))
     return table
 
 
-def similar_set(table: VsimTable, label: str, tau_s: float) -> set[str]:
+def similar_set(table: PairTable, label: str, tau_s: float) -> set[str]:
     """Labels visually similar to `label` at threshold tau_s in (0, 1]."""
     if not (0.0 < tau_s <= 1.0):
         raise ValueError(f"tau_s must be in (0, 1], got {tau_s!r}")
-    return {
-        other
-        for other, score in table.neighbors(label).items()
-        if score >= tau_s and other != label
-    }
+    return {other for other, score in table.neighbors(label).items() if score >= tau_s}
 
 
 # --- corpus and table serialization -----------------------------------------
@@ -304,16 +256,17 @@ def read_detections_jsonl(path) -> tuple[list[DetectionRecord], int]:
     return records, skipped
 
 
-def write_vsim_tsv(table: VsimTable, path) -> None:
+def write_vsim_tsv(table: PairTable, path) -> None:
     """Write `label1<TAB>label2<TAB>score` rows, label1 < label2, sorted."""
     with open(path, "w", encoding="utf-8") as fh:
         for a, b, score in table.pairs():
             fh.write(f"{a}\t{b}\t{score:.6f}\n")
 
 
-def read_vsim_tsv(path) -> VsimTable:
-    """Read `label1<TAB>label2<TAB>score` rows; any bad or duplicate row is a LoadError."""
-    table = VsimTable()
+def read_vsim_tsv(path) -> PairTable:
+    """Read `label1<TAB>label2<TAB>score` rows; a self-pair, a score outside
+    [0, 1] or any other bad or duplicate row is a LoadError."""
+    table = PairTable()
     canon = CanonLabels()
     for lineno, line in data_lines(path):
         a_s, b_s, score_s = tsv_fields(path, lineno, line, 3)
@@ -321,7 +274,12 @@ def read_vsim_tsv(path) -> VsimTable:
             a, b = canon[a_s], canon[b_s]
             if b in table.neighbors(a):
                 raise ValueError(f"duplicate pair {_pair(a, b)!r}")
-            table._put(a, b, float(score_s))  # rejects a self-pair or a score outside [0, 1]
+            score = float(score_s)
+            if a == b:
+                raise ValueError(f"self-pair {a!r}")
+            if not (0.0 <= score <= 1.0):
+                raise ValueError(f"similarity {score!r} outside [0, 1] for ({a!r}, {b!r})")
         except ValueError as exc:
             raise LoadError(path, str(exc), lineno) from exc
+        table.add(a, b, score)
     return table

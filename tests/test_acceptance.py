@@ -19,16 +19,17 @@ import pytest
 
 import tagrefine
 from instgen import random_instance
+from oracle import brute_force
 from tagrefine.cli import main
 from tagrefine.evaluation import f1, recall
 from tagrefine.ilp import (
-    brute_force,
     build_instance,
     extract_labels,
     solve_exact,
     truncate_to_cap,
 )
-from tagrefine.knowledge import ColocTable, EmbeddingTable, KnowledgeStore
+from tagrefine.knowledge import EmbeddingTable, KnowledgeStore
+from tagrefine.labels import PairTable
 from tagrefine.pipeline import (
     POST_TRUNCATION_CAP,
     make_relatedness,
@@ -39,7 +40,6 @@ from tagrefine.scoring import Hyperparameters
 from tagrefine.vsim import (
     BoundingBox,
     DetectionRecord,
-    VsimTable,
     accumulate,
     finalize,
 )
@@ -129,8 +129,8 @@ def random_store(rng) -> KnowledgeStore:
         embeddings=EmbeddingTable(dim=dim, vectors=vectors),
         parents=parents,
         by_subject=by_subject,
-        coloc=ColocTable(coloc_counts),
-        vsim=VsimTable(vsim_scores),
+        coloc=PairTable(coloc_counts),
+        vsim=PairTable(vsim_scores),
     )
 
 

@@ -14,9 +14,9 @@ from tagrefine.candidates import (
 )
 from tagrefine.errors import ConfigError
 from tagrefine.knowledge import KnowledgeStore, load_assertions
-from tagrefine.labels import Origin
+from tagrefine.labels import Origin, PairTable
 from tagrefine.scoring import Hyperparameters
-from tagrefine.vsim import BoundingBox, DetectionRecord, VsimTable
+from tagrefine.vsim import BoundingBox, DetectionRecord
 
 
 def box(bid="b1", **cands):
@@ -45,15 +45,15 @@ def by_subject(tmp_path, assertions):
 
 class TestExpandSimilar:
     def test_neighbors_of_original(self):
-        table = VsimTable({("a", "b"): 0.6})
+        table = PairTable({("a", "b"): 0.6})
         assert expand_similar(box(a=0.5), table, 0.5) == {"b"}
 
     def test_originals_subtracted(self):
-        table = VsimTable({("a", "b"): 0.6})
+        table = PairTable({("a", "b"): 0.6})
         assert expand_similar(box(a=0.5, b=0.4), table, 0.5) == set()
 
     def test_empty_table(self):
-        assert expand_similar(box(a=0.5), VsimTable(), 0.5) == set()
+        assert expand_similar(box(a=0.5), PairTable(), 0.5) == set()
 
 
 class TestExpandHypernyms:
@@ -175,7 +175,7 @@ class TestGenerate:
     def test_origin_precedence_and_scores(self):
         store = KnowledgeStore.assemble(
             parents={},
-            vsim=VsimTable({("dog", "wolf"): 0.6}),
+            vsim=PairTable({("dog", "wolf"): 0.6}),
         )
         record = DetectionRecord("i", (box("b1", dog=0.5),))
         sets = generate(record, store, Hyperparameters(), FLAT_SREL)

@@ -458,6 +458,23 @@ class TestEval:
                    "--judgments", str(judgments), "--out", str(tmp_path / "m.tsv")])
         assert rc == 2
 
+    @pytest.mark.parametrize("labels, message", [
+        ([{"label": 7, "space": "CL", "box": "b1"}], "expected a string"),
+        ([{"label": None, "space": "CL", "box": "b1"}], "expected a string"),
+        ([{"label": ["a"], "space": "CL", "box": "b1"}], "expected a string"),
+        ({"x": 1}, "expected a list of dict"),
+    ])
+    def test_mistyped_refined_line_exits_2_naming_line(self, fixtures_dir, tmp_path, capsys,
+                                                       labels, message):
+        system = tmp_path / "system.jsonl"
+        system.write_text(json.dumps({"image": "img_001", "labels": labels}) + "\n")
+        rc = main(["eval", "--system", str(system),
+                   "--judgments", str(fixtures_dir / "judgments.jsonl"),
+                   "--out", str(tmp_path / "m.tsv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{system}:1" in err and message in err
+
 
 class TestTuneCommand:
     def run_tune(self, fixtures_dir, tmp_path, knowledge_args, out_name, extra=()):

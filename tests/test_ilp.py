@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from instgen import dense_instance, instance, random_instance
+from oracle import InstanceTooLarge, brute_force
 from tagrefine import ilp
 from tagrefine.candidates import AbstractCandidate, CandidateSets, VisualCandidate, generate
-from tagrefine.errors import ConfigError, ContractViolation, InstanceTooLarge
+from tagrefine.errors import ConfigError, ContractViolation
 from tagrefine.ilp import (
     Assignment,
-    brute_force,
     build_instance,
     extract_labels,
     solve_exact,

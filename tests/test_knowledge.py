@@ -17,7 +17,7 @@ from tagrefine.knowledge import (
     load_embeddings,
     load_hypernyms,
 )
-from tagrefine.labels import CanonLabels, canon_label
+from tagrefine.labels import CanonLabels, PairTable, canon_label
 from tagrefine.textio import data_lines
 from tagrefine.vsim import read_vsim_tsv
 
@@ -56,7 +56,7 @@ class TestLoadEmbeddings:
         path = write(tmp_path, "emb.txt", "cat 1 2 3\ndog 0.5 0.5 0\n")
         table = load_embeddings(path)
         assert table.dim == 3
-        assert len(table) == 2
+        assert len(table.vectors) == 2
         assert np.allclose(table.vectors["cat"], [1, 2, 3])
 
     def test_dimension_mismatch_names_line(self, tmp_path):
@@ -68,7 +68,7 @@ class TestLoadEmbeddings:
     def test_empty_file(self, tmp_path):
         table = load_embeddings(write(tmp_path, "emb.txt", ""))
         assert table.dim == 0
-        assert len(table) == 0
+        assert len(table.vectors) == 0
 
     def test_non_numeric_component(self, tmp_path):
         path = write(tmp_path, "emb.txt", "cat 1 x 3\n")
@@ -96,7 +96,7 @@ class TestLoadEmbeddings:
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         path = write(tmp_path, "emb.txt", "# header\n\ncat 1 0\n")
-        assert len(load_embeddings(path)) == 1
+        assert len(load_embeddings(path).vectors) == 1
 
     def test_idempotent(self, tmp_path):
         path = write(tmp_path, "emb.txt", "cat 1 2\ndog 3 4\n")
@@ -388,6 +388,53 @@ class TestLoadAssertions:
         assert load_assertions(path) == {"x": {"aa": 4.0}}
 
 
+class TestPairTable:
+    def test_get_reads_both_ways_round(self):
+        table = PairTable({("b", "a"): 0.25})
+        assert table.get("a", "b") == table.get("b", "a") == 0.25
+
+    def test_pair_given_twice_in_either_order_sums(self):
+        table = PairTable()
+        table.add("a", "b", 3)
+        table.add("b", "a", 4)
+        assert table.get("a", "b") == table.get("b", "a") == 7
+        assert len(table) == 1
+
+    def test_self_pair_not_kept(self):
+        table = PairTable({("a", "a"): 5, ("a", "b"): 1})
+        assert table.get("a", "a") == 0
+        assert "a" not in table.neighbors("a")
+        assert table.max_value == 1 and len(table) == 1
+
+    def test_missing_pair_and_unknown_label(self):
+        table = PairTable({("a", "b"): 2})
+        assert table.get("a", "z") == 0 and table.get("y", "z") == 0
+        empty = table.neighbors("z")
+        assert dict(empty) == {}
+        with pytest.raises(TypeError):
+            empty["a"] = 1
+        assert table.neighbors("z") == {} and "z" not in table.labels()
+
+    def test_max_value_is_the_largest(self):
+        assert PairTable().max_value == 0
+        table = PairTable({("a", "b"): 2, ("c", "d"): 9, ("a", "c"): 4})
+        assert table.max_value == 9
+        table.add("b", "a", 8)
+        assert table.max_value == 10
+
+    def test_pairs_sorted_with_lower_label_first(self):
+        table = PairTable({("d", "c"): 0.5, ("b", "a"): 0.1, ("c", "a"): 0.3})
+        assert list(table.pairs()) == [("a", "b", 0.1), ("a", "c", 0.3), ("c", "d", 0.5)]
+
+    def test_labels_len_and_equality(self):
+        table = PairTable({("a", "b"): 0.5, ("b", "c"): 0.2})
+        assert sorted(table.labels()) == ["a", "b", "c"]
+        assert len(table) == 2 and len(PairTable()) == 0
+        assert table == PairTable({("c", "b"): 0.2, ("b", "a"): 0.5})
+        assert table != PairTable({("a", "b"): 0.5})
+        assert table != {("a", "b"): 0.5, ("b", "c"): 0.2}
+
+
 class TestLoadColoc:
     def test_orders_sum(self, tmp_path):
         path = write(tmp_path, "c.tsv", "a\tb\t3\nb\ta\t2\n")
@@ -425,7 +472,7 @@ class TestLoadColoc:
     def test_self_pairs_ignored(self, tmp_path):
         table = load_coloc(write(tmp_path, "c.tsv", "a\ta\t3\na\tb\t1\n"))
         assert table.get("a", "a") == 0
-        assert table.max_count == 1
+        assert table.max_value == 1
 
 
 class TestLoadAllowlist:

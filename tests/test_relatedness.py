@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagrefine.errors import ConfigError
-from tagrefine.knowledge import ColocTable, EmbeddingTable
+from tagrefine.knowledge import EmbeddingTable
+from tagrefine.labels import PairTable
 from tagrefine import relatedness
 from tagrefine.relatedness import Relatedness, image_coherence
 
@@ -29,7 +30,7 @@ NO_VECTORS = EmbeddingTable(dim=0, vectors={})
 
 def cosine(a, b, table):
     """Embedding-only relatedness: srel at delta 1."""
-    return Relatedness(table, ColocTable(), delta=1.0).srel(a, b)
+    return Relatedness(table, PairTable(), delta=1.0).srel(a, b)
 
 
 def coloc(a, b, table):
@@ -58,9 +59,9 @@ def ref_cosine(a, b, table):
 
 
 def ref_coloc(a, b, table):
-    if table.max_count == 0:
+    if table.max_value == 0:
         return 0.0
-    return table.get(a, b) / table.max_count
+    return table.get(a, b) / table.max_value
 
 
 def ref_srel(a, b, delta, table, cl):
@@ -100,7 +101,7 @@ class TestCosine:
 
 
 class TestColoc:
-    table = ColocTable({("apple", "table"): 10, ("chair", "table"): 5})
+    table = PairTable({("apple", "table"): 10, ("chair", "table"): 5})
 
     def test_max_pair_is_one(self):
         assert coloc("apple", "table", self.table) == 1.0
@@ -112,28 +113,28 @@ class TestColoc:
         assert coloc("table", "chair", self.table) == 0.5
 
     def test_empty_table(self):
-        assert coloc("a", "b", ColocTable()) == 0.0
+        assert coloc("a", "b", PairTable()) == 0.0
 
 
 class TestSrel:
     def test_blend_arithmetic(self):
         # delta .6, cosine .5, coloc .25 -> .4
         table = emb(a=[1.0, 0.0], b=[0.5, np.sqrt(3) / 2])  # cos = 0.5
-        cl = ColocTable({("a", "b"): 1, ("x", "y"): 4})  # coloc = 0.25
+        cl = PairTable({("a", "b"): 1, ("x", "y"): 4})  # coloc = 0.25
         assert srel("a", "b", 0.6, table, cl) == pytest.approx(0.4)
 
     def test_delta_one_is_pure_cosine(self):
         table = emb(a=[1.0, 1.0], b=[1.0, 0.0])
-        cl = ColocTable({("a", "b"): 3})
+        cl = PairTable({("a", "b"): 3})
         assert srel("a", "b", 1.0, table, cl) == pytest.approx(ref_cosine("a", "b", table))
 
     def test_delta_zero_unseen_pair_is_zero(self):
         table = emb(a=[1.0, 0.0], b=[1.0, 0.0])
-        assert srel("a", "b", 0.0, table, ColocTable()) == 0.0
+        assert srel("a", "b", 0.0, table, PairTable()) == 0.0
 
     def test_delta_out_of_range_rejected(self):
         with pytest.raises(ConfigError):
-            Relatedness(emb(a=[1.0]), ColocTable(), delta=1.5)
+            Relatedness(emb(a=[1.0]), PairTable(), delta=1.5)
 
     @given(
         st.floats(0, 1),
@@ -145,7 +146,7 @@ class TestSrel:
     @settings(max_examples=80, deadline=None)
     def test_symmetric_and_in_unit_interval(self, delta, va, vb, count, cmax):
         table = emb(a=va, b=vb)
-        cl = ColocTable({("a", "b"): min(count, cmax), ("p", "q"): cmax})
+        cl = PairTable({("a", "b"): min(count, cmax), ("p", "q"): cmax})
         rel = Relatedness(table, cl, delta=delta)
         ab = rel.srel("a", "b")
         ba = rel.srel("b", "a")
@@ -156,15 +157,15 @@ class TestSrel:
         delta = 0.5
         lo_cos = emb(a=[1.0, 0.0], b=[0.5, np.sqrt(3) / 2])
         hi_cos = emb(a=[1.0, 0.0], b=[1.0, 0.1])
-        cl_lo = ColocTable({("a", "b"): 1, ("p", "q"): 10})
-        cl_hi = ColocTable({("a", "b"): 8, ("p", "q"): 10})
+        cl_lo = PairTable({("a", "b"): 1, ("p", "q"): 10})
+        cl_hi = PairTable({("a", "b"): 8, ("p", "q"): 10})
         assert srel("a", "b", delta, hi_cos, cl_lo) > srel("a", "b", delta, lo_cos, cl_lo)
         assert srel("a", "b", delta, lo_cos, cl_hi) > srel("a", "b", delta, lo_cos, cl_lo)
 
     def test_empty_coloc_reduces_to_weighted_cosine(self):
         table = emb(a=[1.0, 2.0], b=[2.0, 1.0])
         expected = 0.7 * ref_cosine("a", "b", table)
-        assert srel("a", "b", 0.7, table, ColocTable()) == pytest.approx(expected)
+        assert srel("a", "b", 0.7, table, PairTable()) == pytest.approx(expected)
 
 
 TOKENS = ("t0", "t1", "t2", "t3")
@@ -177,7 +178,7 @@ LABEL = st.lists(st.sampled_from((*TOKENS, "oov")), min_size=1, max_size=3).map(
 class TestPerLabelState:
     def test_matches_reference_in_either_order(self):
         table = emb(a=[1.0, 0.5], b=[0.3, 1.0])
-        cl = ColocTable({("a", "b"): 2, ("p", "q"): 4})
+        cl = PairTable({("a", "b"): 2, ("p", "q"): 4})
         rel = Relatedness(table, cl, delta=0.4)
         direct = ref_srel("a", "b", 0.4, table, cl)
         assert rel.srel("a", "b") == direct
@@ -192,7 +193,7 @@ class TestPerLabelState:
     @settings(max_examples=150, deadline=None)
     def test_bit_identical_to_reference(self, delta, vectors, counts, pairs):
         table = emb(**dict(zip(TOKENS, vectors)))
-        cl = ColocTable(counts)
+        cl = PairTable(counts)
         rel = Relatedness(table, cl, delta=delta)
         for a, b in pairs:
             expected = ref_srel(a, b, delta, table, cl)
@@ -204,7 +205,7 @@ class TestPerLabelState:
         rng = np.random.default_rng(0)
         labels = [f"l{i}" for i in range(60)]
         table = EmbeddingTable(dim=4, vectors={lab: rng.normal(size=4) for lab in labels})
-        cl = ColocTable({(labels[i], labels[i + 1]): i + 1 for i in range(10)})
+        cl = PairTable({(labels[i], labels[i + 1]): i + 1 for i in range(10)})
         rel = Relatedness(table, cl, delta=0.5)
         for a, b in itertools.combinations(labels, 2):
             rel.srel(a, b)
@@ -220,7 +221,7 @@ class TestPerLabelState:
         rng = np.random.default_rng(2)
         words = [f"w{i}" for i in range(6)]
         table = EmbeddingTable(dim=3, vectors={w: rng.normal(size=3) for w in words})
-        cl = ColocTable({(words[i], words[i + 1]): i + 1 for i in range(5)})
+        cl = PairTable({(words[i], words[i + 1]): i + 1 for i in range(5)})
         rel = Relatedness(table, cl, delta=0.5)
         # every pair asks for a label the cache has not seen, so it keeps evicting
         stream = [(w, f"{w} novel{i}") for i, w in enumerate(words * 5)]
@@ -231,7 +232,7 @@ class TestPerLabelState:
 
     def test_store_freed_without_the_cyclic_gc(self):
         table = emb(a=[1.0, 0.0], b=[0.6, 0.8])
-        rel = Relatedness(table, ColocTable())
+        rel = Relatedness(table, PairTable())
         rel.srel("a", "b")
         rel.table(["a", "b"], ["b"])
         alive = weakref.ref(table)
@@ -250,7 +251,7 @@ class TestPerLabelState:
         words = [f"w{i}" for i in range(12)]
         table = EmbeddingTable(dim=8, vectors={w: rng.normal(size=8) for w in words})
         labels = [*words, *(f"{a} {b}" for a, b in zip(words, words[1:])), "oov"]
-        cl = ColocTable({(labels[i], labels[i + 2]): i + 1 for i in range(20)})
+        cl = PairTable({(labels[i], labels[i + 2]): i + 1 for i in range(20)})
         pairs = list(itertools.combinations(labels, 2))
         expected = [ref_srel(a, b, 0.3, table, cl) for a, b in pairs]
         rel = Relatedness(table, cl, delta=0.3)
@@ -315,13 +316,13 @@ class TestTable:
     def test_matches_scalar_srel(self, delta, vectors, data):
         pool = data.draw(st.lists(LABEL, min_size=1, max_size=8, unique=True))
         label = st.sampled_from(pool)
-        # an empty or all-zero map is a store with no co-location (max_count 0)
+        # an empty or all-zero map is a store with no co-location (max_value 0)
         counts = data.draw(st.dictionaries(st.tuples(label, label), st.integers(0, 20),
                                            max_size=6))
         labels = data.draw(st.lists(label, min_size=1, max_size=6))
         extra = data.draw(st.lists(label, max_size=8))
         table = NO_VECTORS if vectors is None else emb(**dict(zip(TOKENS, vectors)))
-        assert_table_matches_srel(Relatedness(table, ColocTable(counts), delta), labels, extra)
+        assert_table_matches_srel(Relatedness(table, PairTable(counts), delta), labels, extra)
 
     @pytest.mark.parametrize("delta", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("store", ["vectors", "no vectors", "no coloc"])
@@ -338,7 +339,7 @@ class TestTable:
             table = NO_VECTORS
         if store == "no coloc":
             counts = {}
-        rel = Relatedness(table, ColocTable(counts), delta=delta)
+        rel = Relatedness(table, PairTable(counts), delta=delta)
         assert_table_matches_srel(rel, labels[:6], labels[6:])
         # extra labels that are also labels keep their place among the labels
         assert_table_matches_srel(rel, labels[5::-1], labels[2:])
@@ -348,7 +349,7 @@ class TestTable:
         words = [f"w{i}" for i in range(8)]
         table = EmbeddingTable(dim=5, vectors={w: rng.normal(size=5) for w in words})
         labels = [*words, "w0 w1", "w2 w3 w4", "oov"]
-        cl = ColocTable({(labels[i], labels[i + 3]): i + 1 for i in range(len(labels) - 3)})
+        cl = PairTable({(labels[i], labels[i + 3]): i + 1 for i in range(len(labels) - 3)})
         # most extra labels are labels too, so the cosine square is mirrored
         head, extra = labels[:9], labels[2:] + ["w1"]
         shared = Relatedness(table, cl).table(head, extra)
@@ -363,7 +364,7 @@ class TestTable:
 
     def test_labels_outside_the_block_are_lookup_errors(self):
         rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8], c=[0.0, 1.0]),
-                          ColocTable({("a", "c"): 3}), delta=0.5)
+                          PairTable({("a", "c"): 3}), delta=0.5)
         table = rel.table(["a"], ["b", "c"])
         assert table("a", "c") == rel.srel("a", "c")
         with pytest.raises(LookupError):
@@ -399,13 +400,13 @@ def table_reference(rel, labels, extra=()):
     square[lower] = square.T[lower]
 
     co = np.zeros_like(cos)
-    coloc, max_count = rel.coloc_table, rel.coloc_table.max_count
-    if max_count:
+    coloc, max_value = rel.coloc_table, rel.coloc_table.max_value
+    if max_value:
         for i, a in zip(range(n), index):
             for b, count in coloc.neighbors(a).items():
                 j = index.get(b)
                 if j is not None:
-                    co[i, j] = count / max_count
+                    co[i, j] = count / max_value
     return index, cos, co, blend_reference(cos, co, rel.delta)
 
 
@@ -427,7 +428,7 @@ def random_component(rng):
 def random_store(rng):
     """A `Relatedness` over up to 10 tokens (some with a zero vector, some
     all subnormal) and co-location counts among labels in and out of the
-    blocks drawn from it, max_count 0 in some stores."""
+    blocks drawn from it, max_value 0 in some stores."""
     dim = rng.choice([0, 1, 3, 8])
     words = [f"t{i}" for i in range(rng.randint(0, 10))]
     vectors = {}
@@ -450,7 +451,7 @@ def random_store(rng):
         for _ in range(rng.randint(0, 20)):
             counts[(rng.choice(pool), rng.choice(others))] = rng.choice([0, 1, 2, 7, 1000, 3**40])
     delta = rng.choice([0.0, 0.5, 1.0, rng.random()])
-    return Relatedness(table, ColocTable(counts), delta), pool
+    return Relatedness(table, PairTable(counts), delta), pool
 
 
 def random_labels(rng, words, k):
@@ -492,7 +493,7 @@ class TestTableOracle:
     def test_small_blocks(self, n):
         table = emb(t0=[1.0, 0.5, -0.25], t1=[0.3, 1.0, 0.7], t2=[0.0, 0.0, 0.0])
         counts = {("t0", "t1"): 4, ("t1", "far"): 9, ("t0 t1", "oov"): 2}
-        for cl in (ColocTable(counts), ColocTable({("t0", "t1"): 0})):
+        for cl in (PairTable(counts), PairTable({("t0", "t1"): 0})):
             rel = Relatedness(table, cl, delta=0.5)
             labels = ["t0 t1", "t1", "t1"][:n]
             assert_table_is_reference(rel, labels, ["t2", "oov", "t0", "t0 t1"])
@@ -532,7 +533,7 @@ class TestTableCaches:
             relatedness._lower_triangle.cache_clear()
 
     def test_blend_at_own_delta_is_the_table(self):
-        rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8]), ColocTable({("a", "b"): 2}), 0.4)
+        rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8]), PairTable({("a", "b"): 2}), 0.4)
         table = rel.table(["a", "b"])
         assert table.blend(0.4) is table
         other = table.blend(0.7)
@@ -543,11 +544,11 @@ class TestTableCaches:
 
 class TestImageCoherence:
     def test_single_label_is_coherent(self):
-        rel = Relatedness(emb(a=[1.0]), ColocTable())
+        rel = Relatedness(emb(a=[1.0]), PairTable())
         assert image_coherence(["a"], rel) == 1.0
 
     def test_mean_over_pairs(self):
         table = emb(a=[1.0, 0.0], b=[1.0, 0.0], c=[0.0, 1.0])
-        rel = Relatedness(table, ColocTable(), delta=1.0)
+        rel = Relatedness(table, PairTable(), delta=1.0)
         # pairs: (a,b)=1, (a,c)=0, (b,c)=0 -> mean 1/3
         assert image_coherence(["a", "b", "c"], rel) == pytest.approx(1 / 3)

@@ -4,8 +4,9 @@ import pytest
 
 from tagrefine.candidates import asserted_objects, phrase_supports, rank_abstract
 from tagrefine.errors import ConfigError, ContractViolation
+from tagrefine.labels import PairTable
 from tagrefine.scoring import Hyperparameters, gconf, vconf
-from tagrefine.vsim import BoundingBox, VsimTable
+from tagrefine.vsim import BoundingBox
 
 
 def box(**cands):
@@ -39,24 +40,24 @@ class TestHyperparameters:
 
 class TestVconf:
     def test_original_label_keeps_detector_confidence(self):
-        assert vconf(box(dog=0.7), "dog", VsimTable()) == 0.7
+        assert vconf(box(dog=0.7), "dog", PairTable()) == 0.7
 
     def test_similar_single_term(self):
-        table = VsimTable({("dog", "wolf"): 0.4})
+        table = PairTable({("dog", "wolf"): 0.4})
         assert vconf(box(dog=0.5), "wolf", table) == pytest.approx(0.2)
 
     def test_similar_two_terms(self):
-        table = VsimTable({("dog", "wolf"): 0.4, ("coyote", "wolf"): 0.5})
+        table = PairTable({("dog", "wolf"): 0.4, ("coyote", "wolf"): 0.5})
         result = vconf(box(dog=0.5, coyote=0.3), "wolf", table)
         assert result == pytest.approx(0.35)  # 0.5*0.4 + 0.3*0.5, by hand
 
     def test_unrelated_label_is_contract_violation(self):
         with pytest.raises(ContractViolation):
-            vconf(box(dog=0.5), "piano", VsimTable())
+            vconf(box(dog=0.5), "piano", PairTable())
 
     def test_monotone_in_vsim_and_conf(self):
-        lo = VsimTable({("dog", "wolf"): 0.3})
-        hi = VsimTable({("dog", "wolf"): 0.6})
+        lo = PairTable({("dog", "wolf"): 0.3})
+        hi = PairTable({("dog", "wolf"): 0.6})
         assert vconf(box(dog=0.5), "wolf", hi) > vconf(box(dog=0.5), "wolf", lo)
         assert vconf(box(dog=0.9), "wolf", lo) > vconf(box(dog=0.5), "wolf", lo)
 

@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tagrefine.errors import LoadError
+from tagrefine.labels import PairTable
 from tagrefine.vsim import (
     BoundingBox,
     DetectionRecord,
-    VsimTable,
     accumulate,
     finalize,
     read_detections_jsonl,
@@ -200,7 +200,7 @@ class TestAtScale:
 
 
 class TestSimilarSet:
-    table = VsimTable({("a", "b"): 0.67, ("a", "c"): 0.1})
+    table = PairTable({("a", "b"): 0.67, ("a", "c"): 0.1})
 
     def test_threshold_filters(self):
         assert similar_set(self.table, "a", 0.5) == {"b"}
@@ -280,7 +280,7 @@ class TestProperties:
 
 class TestSerialization:
     def test_tsv_round_trip(self, tmp_path):
-        table = VsimTable({("mail train", "commuter train"): 0.91, ("cattle", "horse"): 0.76})
+        table = PairTable({("mail train", "commuter train"): 0.91, ("cattle", "horse"): 0.76})
         path = tmp_path / "vsim.tsv"
         write_vsim_tsv(table, path)
         lines = path.read_text().splitlines()
