@@ -12,6 +12,8 @@ from collections import defaultdict
 from types import MappingProxyType
 from typing import Iterator, KeysView, Mapping
 
+from .textio import json_str
+
 
 def canon_label(text: str) -> str:
     """Canonical form: lowercase, trimmed, internal whitespace collapsed.
@@ -30,7 +32,8 @@ class CanonLabels(dict):
     A loader keeps one for a load, so each distinct field is canonicalised
     once however often it repeats, and every text with the same canonical
     form maps to one string object. Text that fails is not kept: it raises
-    the same ValueError wherever it occurs.
+    the same ValueError wherever it occurs, and so does a key that is not a
+    string, as a decoded JSON value may be.
     """
 
     def __init__(self):
@@ -38,7 +41,7 @@ class CanonLabels(dict):
         self._shared: dict[str, str] = {}  # canonical label -> its one object
 
     def __missing__(self, text: str) -> str:
-        label = canon_label(text)
+        label = canon_label(json_str(text))
         label = self[text] = self._shared.setdefault(label, label)
         return label
 

@@ -3,11 +3,13 @@ import math
 import random
 import struct
 from fractions import Fraction
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tagrefine import vsim
 from tagrefine.errors import LoadError
 from tagrefine.labels import PairTable
 from tagrefine.vsim import (
@@ -199,6 +201,212 @@ class TestAtScale:
         assert_matches_fraction_reference(corpus, acc)
 
 
+class MiningReference:
+    """`MiningAccumulator` as it was before the NumPy fold, kept as its
+    reference: a Python loop over every candidate and every pair of a box,
+    adding ints at the same scale."""
+
+    def __init__(self):
+        self._ids: dict[str, int] = {}
+        self._labels: list[str] = []
+        self._totals: list[int] = []
+        self._pairs: dict[int, int] = {}
+        self.scale = 64
+        self.records_seen = 0
+
+    def _rescale(self, k: int) -> int:
+        """Raise `scale` to hold a confidence of denominator 2^k exactly;
+        returns how far the sums held so far were shifted left."""
+        scale = -(-k // 64) * 64
+        shift = scale - self.scale
+        self._totals[:] = [total << shift for total in self._totals]
+        pairs = self._pairs
+        for key in pairs:
+            pairs[key] <<= shift
+        self.scale = scale
+        return shift
+
+    def add(self, record):
+        ids, labels, totals, pairs = self._ids, self._labels, self._totals, self._pairs
+        scale = self.scale
+        for bx in record.boxes:
+            cands = []
+            for label, conf in bx.candidates:
+                # conf is n / d with d = 2^k, which has k + 1 bits, so this
+                # is conf * 2^scale exactly once k <= scale
+                n, d = conf.as_integer_ratio()
+                shift = scale + 1 - d.bit_length()
+                if shift < 0:
+                    # the box's earlier candidates move to the new scale too
+                    moved = self._rescale(d.bit_length() - 1)
+                    cands = [(i, c << moved) for i, c in cands]
+                    scale = self.scale
+                    shift += moved
+                scaled = n << shift
+                i = ids.get(label)
+                if i is None:
+                    i = ids[label] = len(labels)
+                    labels.append(label)
+                    totals.append(scaled)
+                else:
+                    totals[i] += scaled
+                cands.append((i, scaled))
+            for x in range(len(cands)):
+                ia, ca = cands[x]
+                for y in range(x + 1, len(cands)):
+                    ib, cb = cands[y]
+                    key = ia << 32 | ib if ia < ib else ib << 32 | ia
+                    pairs[key] = pairs.get(key, 0) + ca + cb
+        self.records_seen += 1
+
+    @property
+    def total_conf(self):
+        return dict(zip(self._labels, self._totals))
+
+    @property
+    def pair_conf(self):
+        labels = self._labels
+        return {tuple(sorted((labels[key >> 32], labels[key & (1 << 32) - 1]))): num
+                for key, num in self._pairs.items()}
+
+    def finalize(self):
+        labels, totals = self._labels, self._totals
+        table = PairTable()
+        for key, num in self._pairs.items():
+            lo, hi = key >> 32, key & (1 << 32) - 1
+            table.add(labels[lo], labels[hi], num / (totals[lo] + totals[hi]))
+        return table
+
+
+def reference_sums(corpus):
+    ref = MiningReference()
+    for rec in corpus:
+        ref.add(rec)
+    return ref
+
+
+# label classes of confidences, as in tools/outputs_unchanged.py: plain,
+# subnormal, tiny and huge, up to the largest double
+CONF_CLASSES = [
+    [0.05, 0.25, 0.5, 0.87, 1.0],
+    [5e-324, 1e-323, 2.5e-323, 2.2250738585072014e-308],
+    [2.0 ** -70, 1e-300, 3e-300],
+    [3.0, 1e308, 1.7976931348623157e308],
+]
+
+
+def reference_corpus(rng, n_records=40, n_labels=20):
+    """Records of 1-3 boxes of 0 to 12 candidates. The first third's
+    confidences are plain, so the sums start at scale 64 and rise part way;
+    the rest draw from every class or from any double."""
+    labels = [f"label {n}" for n in range(n_labels)]
+    corpus = []
+    for n in range(n_records):
+        boxes = []
+        for b in range(rng.randint(1, 3)):
+            cands = []
+            for label in rng.sample(labels, rng.choice([0, 1, 1, 2, 3, 4, 12])):
+                if n < n_records // 3:
+                    conf = rng.choice([rng.uniform(0.05, 1.0), *CONF_CLASSES[0]])
+                elif rng.random() < 0.5:
+                    conf = rng.choice(rng.choice(CONF_CLASSES))
+                else:
+                    conf = wide_conf(rng)
+                cands.append((label, conf))
+            boxes.append(BoundingBox(f"b{b}", tuple(cands)))
+        corpus.append(DetectionRecord(f"i{n}", tuple(boxes)))
+    return corpus
+
+
+def assert_same_as_reference(acc, ref, tmp_path):
+    """`acc`'s scale, exact sums, finalized table and written table against
+    those of the reference `ref`."""
+    assert acc.scale == ref.scale
+    for got, want in ((acc.pair_conf, ref.pair_conf), (acc.total_conf, ref.total_conf)):
+        assert {key: Fraction(num, 1 << acc.scale) for key, num in got.items()} == \
+            {key: Fraction(num, 1 << ref.scale) for key, num in want.items()}
+    table, want = finalize(acc), ref.finalize()
+    assert table == want
+    assert [(a, b, s.hex()) for a, b, s in table.pairs()] == \
+        [(a, b, s.hex()) for a, b, s in want.pairs()]
+    write_vsim_tsv(table, tmp_path / "got.tsv")
+    write_vsim_tsv(want, tmp_path / "want.tsv")
+    assert (tmp_path / "got.tsv").read_bytes() == (tmp_path / "want.tsv").read_bytes()
+
+
+class TestFoldOracle:
+    """The chunked NumPy fold against `MiningReference` on seeded corpora,
+    with a chunk bound so small that the scale rises between chunks and a
+    box of 12 candidates (66 pairs) spans ten pair slices."""
+
+    def test_matches_reference(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(vsim, "CHUNK_BOUND", 7)
+        rng = random.Random("mining-fold")
+        for _ in range(10):
+            corpus = reference_corpus(rng)
+            ref = reference_sums(corpus)
+            acc = vsim.MiningAccumulator()
+            scales = []
+            for rec in corpus:
+                acc.add(rec)
+                scales.append(acc.scale)
+            acc.flush()
+            assert scales[0] == 64 < scales[-1] == ref.scale
+            assert any(len(bx.candidates) == 12 for rec in corpus for bx in rec.boxes)
+            assert acc.records_seen == ref.records_seen == len(corpus)
+            assert_same_as_reference(acc, ref, tmp_path)
+            shuffled = corpus[:]
+            rng.shuffle(shuffled)
+            assert_same_as_reference(accumulate(shuffled), ref, tmp_path)
+
+    def test_empty_and_single_candidate_boxes(self, tmp_path):
+        corpus = [record("i1", BoundingBox("b1", ()), box("b2", a=5e-324)),
+                  record("i2", box("b1", a=1.7976931348623157e308, b=0.5))]
+        for part in (corpus[:1], corpus):
+            assert_same_as_reference(accumulate(part), reference_sums(part), tmp_path)
+
+
+class TestCarries:
+    def test_sums_past_the_float64_range_stay_exact(self, monkeypatch, tmp_path):
+        """Over 2^21 values of nearly 2^32 go into one limb: their sum passes
+        2^53, which no float64 sum holds exactly. Carries run every 1,000
+        values."""
+        monkeypatch.setattr(vsim, "CHUNK_BOUND", 1 << 16)
+        monkeypatch.setattr(vsim, "_CARRY_AFTER", 1000)
+        top = 1.7976931348623157e308  # (2^53 - 1) * 2^971: limbs of 2^32 - 2^11 and 2^32 - 1
+        rec = DetectionRecord("i", tuple(
+            BoundingBox(f"b{b}", (("x", top), ("y", 1.0), ("z", top))) for b in range(64)))
+        times = (1 << 15) + 1
+        assert 64 * times * ((1 << 32) - (1 << 11)) > 1 << 53
+        acc = accumulate(repeat(rec, times))
+        assert not acc._cands and not acc._sizes and acc._loose == 0  # nothing left to fold
+        ref = reference_sums([rec])
+        assert acc.scale == ref.scale == 64
+        assert acc.total_conf == {label: num * times for label, num in ref.total_conf.items()}
+        assert acc.pair_conf == {pair: num * times for pair, num in ref.pair_conf.items()}
+
+        def no_folding(conf):
+            raise AssertionError("finalize folded a chunk")
+
+        monkeypatch.setattr(vsim, "_binary", no_folding)
+        assert finalize(acc) == ref.finalize()
+
+    @pytest.mark.parametrize("carry_after", [100, vsim._CARRY_AFTER])
+    def test_sums_that_outgrow_their_values_limbs(self, monkeypatch, carry_after):
+        """(2^53 - 1) / 2 is n << 63 in units of 2^-64: its top limb holds
+        n >> 33, nearly 2^20. 5,000 of them carry into the limb above, which
+        no value reaches, with carries every 100 values or only at the end."""
+        monkeypatch.setattr(vsim, "CHUNK_BOUND", 64)
+        monkeypatch.setattr(vsim, "_CARRY_AFTER", carry_after)
+        conf = (2.0 ** 53 - 1) / 2
+        corpus = [record(f"i{n}", box("b", x=conf, y=conf), box("c", x=conf, z=0.25))
+                  for n in range(2500)]
+        acc, ref = accumulate(corpus), reference_sums(corpus)
+        assert ref.total_conf["x"] >> 128  # past the values' four limbs
+        assert acc.total_conf == ref.total_conf and acc.pair_conf == ref.pair_conf
+        assert finalize(acc) == ref.finalize()
+
+
 class TestSimilarSet:
     table = PairTable({("a", "b"): 0.67, ("a", "c"): 0.1})
 
@@ -332,6 +540,18 @@ class TestSerialization:
         assert [r.image_id for r in records] == ["i2"] and skipped == 1
         assert [r.getMessage() for r in caplog.records] == [
             f"{path}:1 skipped: malformed detection record: expected a string, got {label!r}"]
+
+    def test_corpus_reader_skips_a_confidence_past_the_doubles(self, tmp_path, caplog):
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"image": image, "boxes": [{"id": "b", "candidates": [
+            {"label": "a", "conf": 0.5}, {"label": "b", "conf": conf}]}]}
+            for image, conf in (("i1", int("1" + "0" * 400)), ("i2", 2))]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        records, skipped = read_detections_jsonl(path)
+        assert [r.image_id for r in records] == ["i2"] and skipped == 1
+        assert records[0].boxes[0].candidates == (("a", 0.5), ("b", 2.0))
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{path}:1 skipped: malformed detection record: int too large to convert to float"]
 
     def test_corpus_reader_shares_one_string_per_label(self, tmp_path):
         path = tmp_path / "corpus.jsonl"

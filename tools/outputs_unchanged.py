@@ -18,7 +18,10 @@ WORK/change with the same relative output paths:
   judgments, then `tune` with the gold labels;
 * `rescale`: `mine-vsim` on a corpus this tool writes under WORK/data,
   whose confidences span the double range (subnormals up to 1e308, mixed
-  within boxes), so the sums change scale part way through.
+  within boxes), so the sums change scale part way through;
+* `bigbox`: `mine-vsim` on a second corpus written there, a few dozen
+  records whose boxes hold 200-400 candidates from every class of
+  confidence, so one box's pairs are summed in many slices.
 
 Every file written, and every command's standard output and error, must be
 the same byte for byte in both trees. Exits 1, naming each file that differs
@@ -84,6 +87,20 @@ def write_rescale_corpus(path: Path, n_records: int = 600, n_labels: int = 40) -
             fh.write(json.dumps({"image": f"i{n}", "boxes": boxes}) + "\n")
 
 
+def write_bigbox_corpus(path: Path, n_records: int = 24, n_labels: int = 600) -> None:
+    """A corpus of valid records of 1-2 boxes of 200-400 candidates each,
+    label n drawing its confidences from class n % 4."""
+    rng = random.Random(SEED)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(n_records):
+            boxes = [{"id": f"b{b}", "candidates": [
+                {"label": f"label {m}", "conf": rng.choice(CONF_CLASSES[m % len(CONF_CLASSES)])}
+                for m in rng.sample(range(n_labels), rng.randint(200, 400))]}
+                for b in range(rng.randint(1, 2))]
+            fh.write(json.dumps({"image": f"i{n}", "boxes": boxes}) + "\n")
+
+
 def env(tree: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
@@ -109,9 +126,10 @@ def run_all(tree: Path, side: Path, data: Path, fixtures: Path) -> None:
                                   *(a.format(out=out) for a in extra)])
     for step, argv in FIXTURE_CHAIN.items():
         run(tree, side, f"fixture/{step}", [a.format(fx=fixtures, out="fixture") for a in argv])
-    run(tree, side, "rescale/mine-vsim", ["mine-vsim", "--corpus",
-                                          str(data / "rescale" / "corpus.jsonl"),
-                                          "--out", "rescale/vsim.tsv"])
+    for corpus in ("rescale", "bigbox"):
+        run(tree, side, f"{corpus}/mine-vsim", ["mine-vsim", "--corpus",
+                                                str(data / corpus / "corpus.jsonl"),
+                                                "--out", f"{corpus}/vsim.tsv"])
 
 
 def files(root: Path) -> dict[Path, bytes]:
@@ -138,6 +156,7 @@ def main(argv=None) -> int:
                             "--out", str(data / name)],
                            env=env(base), check=True, stdout=subprocess.DEVNULL)
     write_rescale_corpus(data / "rescale" / "corpus.jsonl")
+    write_bigbox_corpus(data / "bigbox" / "corpus.jsonl")
     fixtures = base / "tests" / "fixtures"
     run_all(base, work / "base", data, fixtures)
     run_all(change, work / "change", data, fixtures)
