@@ -31,7 +31,7 @@ from .knowledge import (
 )
 from .labels import Space, canon_label
 from .scoring import Hyperparameters
-from .textio import data_lines, json_list, json_records, json_str
+from .textio import data_lines, json_list, json_str, json_table
 from .vsim import accumulate, finalize, read_detections_jsonl, read_vsim_tsv, write_vsim_tsv
 
 log = logging.getLogger(__name__)
@@ -185,10 +185,10 @@ def cmd_refine(args) -> int:
 
 
 def _read_refined_jsonl(path) -> dict[str, list[tuple[str, Space]]]:
-    return dict(json_records(path, "refined", lambda obj: (
+    return json_table(path, "refined", "image", lambda obj: (
         json_str(obj["image"]),
         [(canon_label(json_str(entry["label"])), Space(entry["space"]))
-         for entry in json_list(obj["labels"], dict)])))
+         for entry in json_list(obj["labels"], dict)]))
 
 
 def cmd_eval(args) -> int:
@@ -249,8 +249,8 @@ def _parse_range(text: str) -> tuple[str, tuple[float, float]]:
 
 
 def _read_gold_jsonl(path) -> dict[str, set[str]]:
-    return dict(json_records(path, "gold", lambda obj: (
-        json_str(obj["image"]), {canon_label(x) for x in json_list(obj["labels"], str)})))
+    return json_table(path, "gold", "image", lambda obj: (
+        json_str(obj["image"]), {canon_label(x) for x in json_list(obj["labels"], str)}))
 
 
 def cmd_tune(args) -> int:

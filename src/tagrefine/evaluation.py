@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError
 from .labels import Space, canon_label
-from .textio import json_list, json_records, json_str
+from .textio import json_list, json_str, json_table, put_new
 
 log = logging.getLogger(__name__)
 
@@ -135,13 +135,19 @@ def evaluate_images(
 
 
 def read_judgments_jsonl(path) -> dict[tuple[str, str], JudgedPool]:
-    """Read graded pools: one JSON object per line, keyed (image, pool tag)."""
-    pools = json_records(path, "judgment", lambda obj: JudgedPool(
-        image_id=json_str(obj["image"]),
-        entries={canon_label(label): tuple(json_list(grades, int))
-                 for label, grades in obj["labels"].items()},
-        pool_tag=json_str(obj["pool"])))
-    return {(pool.image_id, pool.pool_tag): pool for pool in pools}
+    """Read graded pools: one JSON object per line, keyed (image, pool tag).
+    A key given twice, or two labels of one pool with one canonical form,
+    is a LoadError."""
+    return json_table(path, "judgment", "image and pool", _judged_pool)
+
+
+def _judged_pool(obj) -> tuple[tuple[str, str], JudgedPool]:
+    image_id = json_str(obj["image"])
+    entries: dict[str, tuple[int, ...]] = {}
+    for label, grades in obj["labels"].items():
+        put_new(entries, canon_label(label), tuple(json_list(grades, int)), "label")
+    pool = JudgedPool(image_id=image_id, entries=entries, pool_tag=json_str(obj["pool"]))
+    return (image_id, pool.pool_tag), pool
 
 
 def write_metrics_tsv(rows: Sequence[MetricsRow], fh) -> None:

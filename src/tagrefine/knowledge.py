@@ -25,7 +25,7 @@ from typing import Iterator, Mapping
 import numpy as np
 
 from .errors import LoadError
-from .labels import CanonLabels, PairTable, canon_label, tokens
+from .labels import CanonLabels, PairTable, canon_label
 from .textio import data_lines, tsv_fields
 
 log = logging.getLogger(__name__)
@@ -57,15 +57,6 @@ class EmbeddingTable:
     def __post_init__(self):
         if self.norms is None:
             self.norms = {t: float(np.linalg.norm(v)) for t, v in self.vectors.items()}
-
-    def label_vector(self, label: str) -> np.ndarray | None:
-        """Mean of in-vocabulary token vectors; None if all tokens are OOV."""
-        in_vocab = [self.vectors[t] for t in tokens(label) if t in self.vectors]
-        if not in_vocab:
-            return None
-        if len(in_vocab) == 1:
-            return in_vocab[0]
-        return np.mean(in_vocab, axis=0)
 
 
 @np.errstate(over="ignore")  # an overflowing squared norm is a LoadError, not a warning

@@ -13,7 +13,8 @@ from typing import Any, Callable, Iterator, TypeVar
 
 from .errors import ConfigError, LoadError
 
-T = TypeVar("T")
+K = TypeVar("K")
+V = TypeVar("V")
 
 
 def data_lines(path) -> Iterator[tuple[int, str]]:
@@ -56,19 +57,29 @@ def tsv_fields(path, lineno: int, line: str, n: int) -> list[str]:
     return parts
 
 
-def json_records(path, what: str, parse: Callable[[Any], T]) -> Iterator[T]:
-    """Yield `parse` of each data line's decoded JSON value.
+def json_table(path, what: str, key: str, parse: Callable[[Any], tuple[K, V]]) -> dict[K, V]:
+    """The (key, value) pairs that `parse` makes of each data line's decoded
+    JSON value, as a dict.
 
-    A line that is not JSON, or whose value `parse` rejects (KeyError,
-    TypeError, ValueError, AttributeError or ConfigError), is a LoadError
-    `bad {what} record: ...` naming `path:line`.
+    A line that is not JSON, whose value `parse` rejects (KeyError,
+    TypeError, ValueError, AttributeError or ConfigError), or whose key an
+    earlier line gave, is a LoadError `bad {what} record: ...` naming
+    `path:line`; `key` names the key in that message.
     """
+    table: dict[K, V] = {}
     for lineno, line in data_lines(path):
         try:
-            record = parse(json.loads(line))
+            put_new(table, *parse(json.loads(line)), key)
         except (KeyError, TypeError, ValueError, AttributeError, ConfigError) as exc:
             raise LoadError(path, f"bad {what} record: {exc}", lineno) from exc
-        yield record
+    return table
+
+
+def put_new(table: dict[K, V], key: K, value: V, what: str) -> None:
+    """`table[key] = value`; a key already there is a ValueError naming it as `what`."""
+    if key in table:
+        raise ValueError(f"duplicate {what} {key!r}")
+    table[key] = value
 
 
 def json_list(value, kind: type) -> list:

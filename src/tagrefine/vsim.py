@@ -23,15 +23,13 @@ CPython rounds it correctly, as it does float() of the same rational held
 as a Fraction, so each score is the double nearest the exact ratio and the
 table is the same, bit for bit, as one built from exact rational sums.
 
-The ints are held in NumPy arrays, 32 bits to a limb, and records are
-folded in chunks of a few thousand candidates; E rises at most once per
-chunk, by whole limbs. A limb is an int64 that takes less than 2^32 from
-each confidence added to it, and its excess is carried a limb up long
-before it could pass 2^63, so the limbs always hold the exact ints
+The ints are Python ints held in NumPy arrays of dtype object, and records
+are folded in chunks of a few thousand candidates with `np.add.at`, which
+adds them with Python's exact int addition; E rises at most once per chunk
 (MiningAccumulator). A confidence of 2^-7 (about 0.008) or more has
-k <= 59, so a corpus of such confidences stays at E = 64, and its sums take
-three or four limbs rather than the 34 or more that one fixed unit of
-2^-1074 needs.
+k <= 59, so a corpus of such confidences stays at E = 64, and each of its
+values is an int of at most 117 bits rather than the 1,000 or more that one
+fixed unit of 2^-1074 needs.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import json
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -104,15 +101,8 @@ class DetectionRecord:
 _ID_BITS = 32
 _ID_MASK = (1 << _ID_BITS) - 1
 
-# a sum is held in 32-bit limbs, least significant first, stored as int64
-_LIMB_BITS = 32
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
 # candidates, and pairs, folded in at once, so a chunk's arrays stay small
 CHUNK_BOUND = 1 << 13
-# limb values added to one limb at most between carries: it stays below 2^63
-_CARRY_AFTER = 1 << 30
-# sums turned into ints at once by finalize
-_BLOCK = 4096
 
 
 _label, _conf = itemgetter(0), itemgetter(1)
@@ -138,91 +128,39 @@ def _binary(conf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return n >> zeros, 53 - exp.astype(np.int64) - zeros
 
 
-def _limbs(n: np.ndarray, shift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(q, v): n << shift is v[0] + v[1] * 2^32 + v[2] * 2^64 in units of
-    limb q, for n < 2^53; each v[t] is below 2^32."""
-    q, r = shift >> 5, shift & 31
-    low = 32 - r
-    rest = n >> low
-    return q, np.array([(n & ((1 << low) - 1)) << r, rest & _LIMB_MASK, rest >> _LIMB_BITS])
-
-
-def _add_limbs(limbs: np.ndarray, at: np.ndarray, q: np.ndarray, v: np.ndarray) -> None:
-    """Add value i, limbs `v[:, i]` from limb q[i] on, to the number in
-    column at[i] of `limbs`; values for one column all add up."""
-    flat, width = limbs.reshape(-1), limbs.shape[1]  # a view: limbs is C-ordered
-    for t in range(3):
-        np.add.at(flat, (q + t) * width + at, v[t])
-
-
-def _fit(limbs: np.ndarray, height: int, width: int) -> np.ndarray:
-    """`limbs`, grown with zeros to at least `height` limbs of `width`
-    numbers. Limbs are added on top; numbers with room to spare, so that n
-    numbers added a few at a time take O(n) copying."""
-    held, numbers = limbs.shape
-    if held >= height and numbers >= width:
-        return limbs
-    if numbers < width:
-        width = max(width, numbers * 2)
-    out = np.zeros((max(held, height), max(numbers, width)), np.int64)
-    out[:held, :numbers] = limbs
-    return out
-
-
-def _ints(limbs: np.ndarray, index: np.ndarray) -> list[int]:
-    """The numbers in columns `index` of carried `limbs`, as ints."""
-    block = limbs[:, index]
-    rows = len(block)
-    while rows > 1 and not block[rows - 1].any():
-        rows -= 1
-    # one bytes object per number; dropping its trailing zero bytes leaves
-    # a little-endian number unchanged
-    raw = np.ascontiguousarray(block[:rows].T, "<u4").view(f"S{4 * rows}").ravel().tolist()
-    return list(map(int.from_bytes, raw, repeat("little")))
-
-
 class MiningAccumulator:
     """Streaming sums behind the similarity ratio.
 
     Each label gets an int id when first seen, and each pair of ids lo < hi
-    the key lo << 32 | hi. Every sum is an int counting units of
+    the key lo << 32 | hi. Every sum is a Python int counting units of
     2^-`scale`: the largest denominator exponent of any confidence seen so
     far, rounded up to a multiple of 64, so each sum is the exact sum of
-    the float confidences, whatever their size (module docstring).
+    the float confidences, whatever their size (module docstring). The sums
+    are held in NumPy arrays of dtype object: `_totals[i]` is label i's
+    total, and `_sums[p]` the sum of the pair with key `_keys[p]`, the keys
+    kept sorted.
 
-    A sum is kept in 32-bit limbs, least significant first, as one column
-    of an int64 array: column i of `_totals` is label i's total, and column
-    `_slots[p]` of `_sums` the sum of the pair with key `_keys[p]` (the keys
-    kept sorted). `add` buffers a record's candidates, and a chunk is folded
-    in once its next box would take it past `CHUNK_BOUND` candidates or
-    pairs; a box with more pairs than that is folded in slices of that
-    many. A confidence n * 2^-k, n odd and below 2^53, is n << (scale - k)
-    in units of 2^-scale: three limbs, each below 2^32, from limb
-    (scale - k) // 32 on. `np.add.at` adds them to the column of the
-    candidate's label and to those of its box's pairs, which `np.unique`
-    groups by key. Those are int64 additions, so exact while no limb passes
-    2^63. A limb starts below 2^32 and takes less than 2^32 from each
-    value, so once 2^30 values might have gone into one limb, and on
-    `flush`, the carries are propagated, every limb going back below 2^32.
-    No value goes into the top limb, which is zero after each carry and
-    takes less than 2^31 from the next, so no carry is lost either.
+    `add` buffers a record's candidates, and a chunk is folded in once its
+    next box would take it past `CHUNK_BOUND` candidates or pairs; a box
+    with more pairs than that is folded in slices of that many. A
+    confidence n * 2^-k is the int n << (scale - k) in units of 2^-scale.
+    `np.add.at` adds it to its label's total, and the two values of each
+    pair of a box to the pair's sum, which `np.unique` groups by key. Those
+    are Python int additions, so exact at any size.
 
-    A chunk that raises `scale` prepends (new - old) / 32 zero limbs to the
-    sums held so far, which shifts them left to the new unit. So the sums
-    are always the ints that the records folded so far give at the current
-    `scale`, which depends only on the confidences seen: the sums, and the
-    finalized table, are the same under any record order and wherever the
-    chunks break. Dividing two sums gives the same correctly rounded double
-    as dividing the exact rationals.
+    A chunk that raises `scale` shifts the sums held so far left to the new
+    unit. So the sums are always the ints that the records folded so far
+    give at the current `scale`, which depends only on the confidences
+    seen: the sums, and the finalized table, are the same under any record
+    order and wherever the chunks break. Dividing two sums gives the same
+    correctly rounded double as dividing the exact rationals.
     """
 
     def __init__(self):
         self._ids = _LabelIds()
-        self._totals = np.zeros((1, 0), np.int64)
+        self._totals = np.zeros(0, object)
         self._keys = np.zeros(0, np.int64)
-        self._slots = np.zeros(0, np.int64)
-        self._sums = np.zeros((1, 0), np.int64)
-        self._loose = 0  # limb values added to one limb at most since the last carry
+        self._sums = np.zeros(0, object)
         # the chunk buffered: its candidates, its boxes' sizes and its pairs
         self._cands: list[tuple[str, float]] = []
         self._sizes: list[int] = []
@@ -238,19 +176,14 @@ class MiningAccumulator:
             m = len(box.candidates)
             pairs = m * (m - 1) >> 1
             if cands and (len(cands) + m > CHUNK_BOUND or self._pairs + pairs > CHUNK_BOUND):
-                self._fold()
+                self.flush()
             cands += box.candidates
             sizes.append(m)
             self._pairs += pairs
         self.records_seen += 1
 
     def flush(self) -> None:
-        """Fold the buffered chunk in and carry every limb."""
-        self._fold()
-        if self._loose:
-            self._carry()
-
-    def _fold(self) -> None:
+        """Fold the buffered chunk in."""
         cands, count = self._cands, len(self._cands)
         if not count:
             self._sizes.clear()
@@ -263,24 +196,16 @@ class MiningAccumulator:
         self._pairs = 0
         scale = max(self.scale, -(-int(k.max()) // 64) * 64)
         if scale > self.scale:
-            zeros = ((scale - self.scale) // _LIMB_BITS, 0), (0, 0)
-            self._totals = np.pad(self._totals, zeros)
-            self._sums = np.pad(self._sums, zeros)
+            self._totals <<= scale - self.scale
+            self._sums <<= scale - self.scale
             self.scale = scale
-        q, v = _limbs(n, scale - k)
-        height = int(q.max()) + 4  # a zero limb over the largest value's three
-        self._totals = _fit(self._totals, height, len(self._ids))
-        self._sums = _fit(self._sums, height, 0)
-        _add_limbs(self._totals, ids, q, v)
-        self._loosen(count)
-        self._fold_pairs(ids, sizes, q, v)
-
-    def _fold_pairs(self, ids: np.ndarray, sizes: np.ndarray, q: np.ndarray,
-                    v: np.ndarray) -> None:
-        """Add each pair of candidates of a box, `sizes` long each, to the
-        pair's sum, `CHUNK_BOUND` pairs at a time."""
+        values = n.astype(object) << (scale - k).astype(object)
+        new = len(self._ids) - len(self._totals)
+        if new:
+            self._totals = np.append(self._totals, np.zeros(new, object))
+        np.add.at(self._totals, ids, values)
         # each candidate comes first in the pairs with the rest of its box
-        first = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(len(ids))
+        first = np.repeat(np.cumsum(sizes), sizes) - 1 - np.arange(count)
         start = np.cumsum(first) - first
         pairs = int(start[-1] + first[-1])
         for at in range(0, pairs, CHUNK_BOUND):
@@ -290,66 +215,34 @@ class MiningAccumulator:
             ia, ib = ids[a], ids[b]
             keys, inv = np.unique(np.minimum(ia, ib) << _ID_BITS | np.maximum(ia, ib),
                                   return_inverse=True)
-            slots = self._slots_of(keys)[inv]
-            _add_limbs(self._sums, slots, q[a], v.take(a, axis=1))
-            _add_limbs(self._sums, slots, q[b], v.take(b, axis=1))
-            self._loosen(2 * len(g))
+            slots = self._slots_of(keys)[inv]  # may grow `_sums`
+            np.add.at(self._sums, slots, values[a] + values[b])
 
     def _slots_of(self, keys: np.ndarray) -> np.ndarray:
-        """The columns of `_sums` that hold the pairs `keys` (sorted and
-        unique); a pair not seen before gets the next free one."""
+        """The places in `_sums` of the pairs `keys` (sorted and unique); a
+        pair not seen before is inserted with a zero sum."""
         held = self._keys
         pos = np.searchsorted(held, keys)
         hit = pos < len(held)
         hit[hit] = held[pos[hit]] == keys[hit]
-        slots = np.empty(len(keys), np.int64)
-        slots[hit] = self._slots[pos[hit]]
         new = ~hit
-        if new.any():
-            fresh = np.arange(len(held), len(held) + int(new.sum()))
-            slots[new] = fresh
-            self._keys = np.insert(held, pos[new], keys[new])
-            self._slots = np.insert(self._slots, pos[new], fresh)
-            self._sums = _fit(self._sums, 0, len(self._keys))
-        return slots
-
-    def _loosen(self, values: int) -> None:
-        """Count `values` more limb values added to one limb at most."""
-        self._loose += values
-        if self._loose >= _CARRY_AFTER:
-            self._carry()
-
-    def _carry(self) -> None:
-        """Bring every limb back below 2^32, each excess moving a limb up,
-        and keep a zero limb on top."""
-        for limbs in (self._totals, self._sums):
-            for j in range(len(limbs) - 1):
-                limbs[j + 1] += limbs[j] >> _LIMB_BITS
-                limbs[j] &= _LIMB_MASK
-        self._loose = 0
-        if self._totals[-1].any() or self._sums[-1].any():
-            height = len(self._totals) + 1
-            self._totals = _fit(self._totals, height, 0)
-            self._sums = _fit(self._sums, height, 0)
-
-    def _label_totals(self) -> list[int]:
-        return _ints(self._totals, np.arange(len(self._ids)))
+        if not new.any():
+            return pos
+        self._keys = np.insert(held, pos[new], keys[new])
+        self._sums = np.insert(self._sums, pos[new], 0)
+        # a key moves up by the new keys inserted before it
+        return pos + np.cumsum(new) - new
 
     def _pair_sums(self) -> Iterator[tuple[int, int, int]]:
-        """(lo, hi, sum) of every pair, lo and hi its label ids, in key
-        order, made `_BLOCK` pairs at a time."""
-        return chain.from_iterable(map(self._pair_block, range(0, len(self._keys), _BLOCK)))
-
-    def _pair_block(self, at: int) -> Iterator[tuple[int, int, int]]:
-        keys = self._keys[at:at + _BLOCK]
-        return zip((keys >> _ID_BITS).tolist(), (keys & _ID_MASK).tolist(),
-                   _ints(self._sums, self._slots[at:at + _BLOCK]))
+        """(lo, hi, sum) of every pair, lo and hi its label ids, in key order."""
+        keys = self._keys
+        return zip((keys >> _ID_BITS).tolist(), (keys & _ID_MASK).tolist(), self._sums.tolist())
 
     @property
     def total_conf(self) -> dict[str, int]:
         """label -> its total, in units of 2^-`scale`, in first-seen order."""
         self.flush()
-        return dict(zip(self._ids, self._label_totals()))
+        return dict(zip(self._ids, self._totals.tolist()))
 
     @property
     def pair_conf(self) -> dict[tuple[str, str], int]:
@@ -360,7 +253,7 @@ class MiningAccumulator:
 
 
 def accumulate(corpus: Iterable[DetectionRecord]) -> MiningAccumulator:
-    """Accumulate a record stream; nothing is left buffered or uncarried."""
+    """Accumulate a record stream; nothing is left buffered."""
     acc = MiningAccumulator()
     for record in corpus:
         acc.add(record)
@@ -377,7 +270,7 @@ def finalize(acc: MiningAccumulator) -> PairTable:
     """
     acc.flush()
     labels = list(acc._ids)
-    totals = acc._label_totals()
+    totals = acc._totals.tolist()
     table = PairTable()
     add = table.add
     for lo, hi, num in acc._pair_sums():

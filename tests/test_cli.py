@@ -475,6 +475,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert f"{system}:1" in err and message in err
 
+    def test_repeated_keys_exit_2_naming_line(self, tmp_path, capsys):
+        judgments, system = tmp_path / "j.jsonl", tmp_path / "s.jsonl"
+        pool = {"image": "a", "pool": "CL", "labels": {"dog": [2, 2, 2]}}
+        judgments.write_text(json.dumps(pool) + "\n" + json.dumps(pool) + "\n")
+        refined = {"image": "a", "labels": [{"label": "dog", "space": "CL", "box": "b"}]}
+        system.write_text(json.dumps(refined) + "\n" + json.dumps(refined) + "\n")
+        args = ["eval", "--system", str(system), "--out", str(tmp_path / "m.tsv")]
+        assert main([*args, "--judgments", str(judgments)]) == 2
+        assert f"{judgments}:2: bad judgment record: duplicate" in capsys.readouterr().err
+        judgments.write_text(json.dumps(pool) + "\n")
+        assert main([*args, "--judgments", str(judgments)]) == 2
+        assert f"{system}:2: bad refined record: duplicate" in capsys.readouterr().err
+        assert not (tmp_path / "m.tsv").exists()
+
 
 class TestTuneCommand:
     def run_tune(self, fixtures_dir, tmp_path, knowledge_args, out_name, extra=()):
@@ -550,6 +564,20 @@ class TestTuneCommand:
         assert rc == 0
         assert "1 malformed detection lines skipped" in capsys.readouterr().err
         assert out.read_bytes() == plain.read_bytes()
+
+    def test_repeated_gold_image_exits_2_naming_line(self, fixtures_dir, tmp_path,
+                                                      knowledge_args, capsys):
+        gold = tmp_path / "gold.jsonl"
+        lines = (fixtures_dir / "gold.jsonl").read_text(encoding="utf-8").splitlines()
+        gold.write_text("\n".join([*lines, lines[0]]) + "\n")
+        out = tmp_path / "t.tsv"
+        rc = main(["tune", "--train", str(fixtures_dir / "detections.jsonl"),
+                   "--gold", str(gold), "--trials", "1", "--seed", "0", "--out", str(out),
+                   *knowledge_args])
+        assert rc == 2
+        assert f"{gold}:{len(lines) + 1}: bad gold record: duplicate image" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
     def test_invalid_trials_exits_2(self, fixtures_dir, tmp_path, knowledge_args):
         out = tmp_path / "t.tsv"

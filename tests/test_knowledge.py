@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from tagrefine import knowledge, vsim
+from tagrefine import knowledge, relatedness, vsim
 from tagrefine.errors import LoadError
 from tagrefine.knowledge import (
     EMBEDDING_BLOCK,
@@ -107,8 +107,11 @@ class TestLoadEmbeddings:
     def test_multiword_label_vector_is_token_mean(self, tmp_path):
         path = write(tmp_path, "emb.txt", "tennis 1 0\nball 0 1\n")
         table = load_embeddings(path)
-        assert np.allclose(table.label_vector("tennis ball"), [0.5, 0.5])
-        assert table.label_vector("rocket science") is None
+        vec, norm = relatedness._entry(table, "tennis ball")
+        assert vec.tolist() == [0.5, 0.5] and norm == math.sqrt(0.5)
+        vec, norm = relatedness._entry(table, "tennis racket")  # one token in the vocabulary
+        assert vec is table.vectors["tennis"] and norm == 1.0
+        assert relatedness._entry(table, "rocket science") is None
 
 
     def test_token_only_row_names_its_line(self, tmp_path):

@@ -63,6 +63,14 @@ WRONG_TYPES = {
     "refined-image-list": ("refined", '{"image": ["i2"], "labels": []}', "bad refined record"),
 }
 
+# reader -> (a line whose key repeats the good line's, the message naming the key)
+REPEATED_KEYS = {
+    "judgments": ('{"image": "i1", "pool": "CL", "labels": {"b": [0]}}',
+                  "bad judgment record: duplicate image and pool ('i1', 'CL')"),
+    "refined": ('{"image": "i1", "labels": []}', "bad refined record: duplicate image 'i1'"),
+    "gold": ('{"image": "i1", "labels": ["b"]}', "bad gold record: duplicate image 'i1'"),
+}
+
 # detection fields that must be JSON strings, set to a null, a number or a list
 NON_STRING_DETECTION_IDS = [{"image": None}, {"image": 7}, {"image": ["i2"]},
                             {"box": 3.5}, {"box": None}, {"box": ["b"]}]
@@ -128,6 +136,27 @@ def test_wrong_field_type_reported_by_number(case, tmp_path):
         read(path)
     assert info.value.line == 2
     assert f"{path}:2: {message}: " in str(info.value)
+
+
+@pytest.mark.parametrize("name", REPEATED_KEYS)
+def test_repeated_key_reported_by_number(name, tmp_path):
+    read, good, _ = READERS[name]
+    repeat, message = REPEATED_KEYS[name]
+    path = write(tmp_path, [good, "# comment", repeat])
+    with pytest.raises(LoadError) as info:
+        read(path)
+    assert info.value.line == 3
+    assert str(info.value).endswith(f"{path}:3: {message}")
+
+
+def test_judgment_labels_with_one_canonical_form_rejected(tmp_path):
+    path = write(tmp_path, ['{"image": "i1", "pool": "CL", "labels": {"a": [2]}}',
+                            '{"image": "i2", "pool": "CL", "labels": '
+                            '{"Dog": [2, 2, 2], "dog": [0, 0, 0]}}'])
+    with pytest.raises(LoadError) as info:
+        read_judgments_jsonl(path)
+    assert info.value.line == 2
+    assert str(info.value).endswith(f"{path}:2: bad judgment record: duplicate label 'dog'")
 
 
 @pytest.mark.parametrize("bad", NON_STRING_DETECTION_IDS)

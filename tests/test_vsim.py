@@ -368,18 +368,17 @@ class TestFoldOracle:
 
 class TestCarries:
     def test_sums_past_the_float64_range_stay_exact(self, monkeypatch, tmp_path):
-        """Over 2^21 values of nearly 2^32 go into one limb: their sum passes
-        2^53, which no float64 sum holds exactly. Carries run every 1,000
-        values."""
+        """Over 2^21 copies of the largest double go into x's and z's sums:
+        a sum of their 32-bit limbs passes 2^53, which no float64 sum holds
+        exactly."""
         monkeypatch.setattr(vsim, "CHUNK_BOUND", 1 << 16)
-        monkeypatch.setattr(vsim, "_CARRY_AFTER", 1000)
         top = 1.7976931348623157e308  # (2^53 - 1) * 2^971: limbs of 2^32 - 2^11 and 2^32 - 1
         rec = DetectionRecord("i", tuple(
             BoundingBox(f"b{b}", (("x", top), ("y", 1.0), ("z", top))) for b in range(64)))
         times = (1 << 15) + 1
         assert 64 * times * ((1 << 32) - (1 << 11)) > 1 << 53
         acc = accumulate(repeat(rec, times))
-        assert not acc._cands and not acc._sizes and acc._loose == 0  # nothing left to fold
+        assert not acc._cands and not acc._sizes  # nothing left to fold
         ref = reference_sums([rec])
         assert acc.scale == ref.scale == 64
         assert acc.total_conf == {label: num * times for label, num in ref.total_conf.items()}
@@ -391,13 +390,11 @@ class TestCarries:
         monkeypatch.setattr(vsim, "_binary", no_folding)
         assert finalize(acc) == ref.finalize()
 
-    @pytest.mark.parametrize("carry_after", [100, vsim._CARRY_AFTER])
-    def test_sums_that_outgrow_their_values_limbs(self, monkeypatch, carry_after):
-        """(2^53 - 1) / 2 is n << 63 in units of 2^-64: its top limb holds
-        n >> 33, nearly 2^20. 5,000 of them carry into the limb above, which
-        no value reaches, with carries every 100 values or only at the end."""
+    def test_sums_that_outgrow_their_values_limbs(self, monkeypatch):
+        """(2^53 - 1) / 2 is n << 63 in units of 2^-64: its top 32-bit limb
+        holds n >> 33, nearly 2^20. 5,000 of them carry into the limb above,
+        which no one value reaches."""
         monkeypatch.setattr(vsim, "CHUNK_BOUND", 64)
-        monkeypatch.setattr(vsim, "_CARRY_AFTER", carry_after)
         conf = (2.0 ** 53 - 1) / 2
         corpus = [record(f"i{n}", box("b", x=conf, y=conf), box("c", x=conf, z=0.25))
                   for n in range(2500)]

@@ -24,7 +24,9 @@ WORK/change with the same relative output paths:
   confidence, so one box's pairs are summed in many slices.
 
 Every file written, and every command's standard output and error, must be
-the same byte for byte in both trees. Exits 1, naming each file that differs
+the same byte for byte in both trees. Each command's wall time is printed
+as it finishes, with the side that ran it, so a slower tree shows in the
+log; the times are not compared. Exits 1, naming each file that differs
 or exists on one side only, when one does; 0 when none does.
 """
 
@@ -35,6 +37,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SEED = 1
@@ -107,11 +110,13 @@ def env(tree: Path) -> dict:
 
 def run(tree: Path, side: Path, log: str, argv: list[str]) -> None:
     """`tree`'s program on `argv`, in `side`; its standard output and error
-    go to `log`/stdout and `log`/stderr."""
+    go to `log`/stdout and `log`/stderr, and its wall time is printed."""
     (side / log).mkdir(parents=True)
+    start = time.perf_counter()
     with open(side / log / "stdout", "wb") as so, open(side / log / "stderr", "wb") as se:
         subprocess.run([sys.executable, "-m", "tagrefine.cli", *argv], cwd=side,
                        env=env(tree), stdout=so, stderr=se, check=True)
+    print(f"{side.name} {log}: {time.perf_counter() - start:.2f} s", flush=True)
 
 
 def run_all(tree: Path, side: Path, data: Path, fixtures: Path) -> None:
