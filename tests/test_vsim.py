@@ -390,11 +390,13 @@ class TestCarries:
         monkeypatch.setattr(vsim, "_binary", no_folding)
         assert finalize(acc) == ref.finalize()
 
-    def test_sums_that_outgrow_their_values_limbs(self, monkeypatch):
+    @pytest.mark.parametrize("chunk_bound", [100, 1 << 30])
+    def test_sums_that_outgrow_their_values_limbs(self, monkeypatch, chunk_bound):
         """(2^53 - 1) / 2 is n << 63 in units of 2^-64: its top 32-bit limb
         holds n >> 33, nearly 2^20. 5,000 of them carry into the limb above,
-        which no one value reaches."""
-        monkeypatch.setattr(vsim, "CHUNK_BOUND", 64)
+        which no one value reaches, folded in chunks of at most 100 candidates
+        or all in one chunk."""
+        monkeypatch.setattr(vsim, "CHUNK_BOUND", chunk_bound)
         conf = (2.0 ** 53 - 1) / 2
         corpus = [record(f"i{n}", box("b", x=conf, y=conf), box("c", x=conf, z=0.25))
                   for n in range(2500)]
