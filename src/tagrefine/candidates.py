@@ -9,7 +9,7 @@ image's visual candidates; they attach to the image globally, not to a box.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -17,8 +17,8 @@ from .errors import ConfigError
 from .knowledge import KnowledgeStore
 from .labels import Origin, PairTable
 from .relatedness import Relatedness, SrelTable
-from .scoring import Hyperparameters, SrelFn, gconf, vconf
-from .vsim import BoundingBox, DetectionRecord, similar_set
+from .scoring import Hyperparameters, SrelFn, gconf
+from .vsim import BoundingBox, DetectionRecord
 
 
 # Named tuples, not dataclasses: every image builds a few dozen of each, and
@@ -45,43 +45,46 @@ class CandidateSets:
     srel: SrelFn | None = None  # what the candidates were scored with
 
 
-def expand_similar(box: BoundingBox, vsim_table: PairTable, tau_s: float) -> set[str]:
-    """Visually-similar labels the detector did not propose for this box."""
-    original = set(box.labels())
-    out: set[str] = set()
-    for label in original:
-        out |= similar_set(vsim_table, label, tau_s)
-    return out - original
+def visual_candidates(box: BoundingBox, vsim: PairTable, tau_s: float) -> list[VisualCandidate]:
+    """The box's original candidates, in detection order, then its similar
+    ones, sorted, each with its vconf, from one walk over the detections'
+    vsim neighbours.
+
+    An original keeps its detector confidence. Any other neighbour sums
+    conf * score over the detections it neighbours, with `+` in detection
+    order, and is similar when one of those scores is >= tau_s. A detection
+    it does not neighbour would add a zero term, which leaves the sum's bits
+    as they are, so the sum is vconf over all the box's detections.
+    """
+    detections = dict(box.candidates)
+    vconf: dict[str, float] = {}
+    similar: set[str] = set()
+    for label, conf in box.candidates:
+        for other, score in vsim.neighbors(label).items():
+            if other not in detections:
+                vconf[other] = vconf.get(other, 0.0) + conf * score
+                if score >= tau_s:
+                    similar.add(other)
+    return [VisualCandidate(label, Origin.ORIGINAL, conf) for label, conf in box.candidates] + [
+        VisualCandidate(label, Origin.SIMILAR, vconf[label]) for label in sorted(similar)]
 
 
-def expand_hypernyms(
-    visual_labels: Iterable[str], parents: Mapping[str, tuple[str, ...]]
-) -> list[str]:
-    """Hypernym parents of the given labels that are not among them, sorted."""
-    labels = set(visual_labels)
-    return sorted({parent for label in labels for parent in parents.get(label, ())} - labels)
-
-
-def asserted_objects(
-    visual_labels: Iterable[str], by_subject: Mapping[str, Mapping[str, float]]
-) -> dict[str, dict[str, float]]:
-    """object -> subject -> score for every phrase asserted about any of the
-    visual labels; a phrase that is itself one of them is left out."""
-    visual = set(visual_labels)
-    # the callers sort what they read from this, so the result does not
-    # depend on the order in which subjects are visited
-    supporting: dict[str, dict[str, float]] = {}
-    for subject in visual:
-        for obj, score in by_subject.get(subject, {}).items():
-            if obj not in visual:
-                supporting.setdefault(obj, {})[subject] = score
-    return supporting
+def hypernym_children(
+    labels: Sequence[str], parents: Mapping[str, tuple[str, ...]]
+) -> list[tuple[str, list[str]]]:
+    """Each parent of the distinct `labels` that is not one of them, sorted,
+    with its children among them in their order."""
+    children: dict[str, list[str]] = {}
+    for label in labels:
+        for parent in parents.get(label, ()):
+            children.setdefault(parent, []).append(label)
+    return [(parent, children[parent]) for parent in sorted(children.keys() - set(labels))]
 
 
 @dataclass
 class Supports:
-    """The phrases of `asserted_objects`, sorted, and the visual labels that
-    support each, grouped by phrase in that order."""
+    """The phrases asserted about an image's visual labels, sorted, and the
+    visual labels that support each, grouped by phrase in that order."""
     phrases: list[str]
     cnet: np.ndarray  # per phrase, its strongest assertion score
     subjects: list[str]  # per support, its visual label
@@ -98,8 +101,21 @@ class Supports:
         return table.indices(self.subjects), np.repeat(table.indices(self.phrases), self.counts)
 
 
-def phrase_supports(supporting: Mapping[str, Mapping[str, float]]) -> Supports:
-    """`Supports` of what `asserted_objects` returns."""
+def phrase_supports(
+    visual: Collection[str], by_subject: Mapping[str, Mapping[str, float]]
+) -> Supports:
+    """`Supports` of every phrase asserted about one of the distinct `visual`
+    labels; a phrase that is itself one of them is left out.
+
+    Each phrase's supports follow the order of `visual`; what the callers
+    read of them, a phrase's largest cnet and largest srel, does not depend
+    on that order.
+    """
+    supporting: dict[str, dict[str, float]] = {}  # phrase -> subject -> score
+    for subject in visual:
+        for obj, score in by_subject.get(subject, {}).items():
+            if obj not in visual:
+                supporting.setdefault(obj, {})[subject] = score
     phrases = sorted(supporting)
     return Supports(
         phrases=phrases,
@@ -135,8 +151,8 @@ def rank_abstract(supports: Supports, srel: np.ndarray, cap: int) -> list[Abstra
 class ImageLabels:
     """What `generate` builds for one image and `tau_s` that no weight changes."""
     # per box: its id, its original and similar candidates (with vconf), and
-    # its hypernym labels
-    boxes: list[tuple[str, list[VisualCandidate], list[str]]]
+    # its hypernyms, each with its children in the box
+    boxes: list[tuple[str, list[VisualCandidate], list[tuple[str, list[str]]]]]
     supports: Supports  # of the phrases asserted about the visual labels
     table: SrelTable | None  # the image's srel, given a `Relatedness`
     support_at: tuple[np.ndarray, np.ndarray] | None  # `supports.positions(table)`
@@ -152,19 +168,15 @@ def image_labels(
     boxes = []
     visual: dict[str, None] = {}
     for box in record.boxes:
-        original = list(box.labels())
-        similar = sorted(expand_similar(box, store.vsim, tau_s))
-        hyper = expand_hypernyms(original + similar, store.parents)
-        fixed = [VisualCandidate(label=label, origin=Origin.ORIGINAL,
-                                 vconf=vconf(box, label, store.vsim)) for label in original]
-        fixed += [VisualCandidate(label=label, origin=Origin.SIMILAR,
-                                  vconf=vconf(box, label, store.vsim)) for label in similar]
+        fixed = visual_candidates(box, store.vsim, tau_s)
+        box_labels = [c.label for c in fixed]
+        hyper = hypernym_children(box_labels, store.parents)
         boxes.append((box.box_id, fixed, hyper))
         # in box order, so the srel table, and every value read from it, is
         # the same in every process
-        visual.update(dict.fromkeys([*original, *similar, *hyper]))
+        visual.update(dict.fromkeys([*box_labels, *(label for label, _ in hyper)]))
     # every asserted phrase, before the cap: the best supports decide the ranking
-    supports = phrase_supports(asserted_objects(visual, store.by_subject))
+    supports = phrase_supports(visual, store.by_subject)
     if not isinstance(srel, Relatedness):
         return ImageLabels(boxes, supports, None, None)
     table = srel.table(list(visual), supports.phrases)
@@ -202,16 +214,11 @@ def generate(
         srel_fn = labels.table.blend(hp.delta)
         support_srel = srel_fn.at(labels.support_at)
 
-    per_box: dict[str, list[VisualCandidate]] = {}
+    per_box = {}
     for box_id, fixed, hyper in labels.boxes:
-        # ordered, not a set: gconf sums over it, and set order follows the
-        # string hash seed, which would change the last bits between runs
-        box_visual = [c.label for c in fixed]
         per_box[box_id] = fixed + [
-            VisualCandidate(label=label, origin=Origin.HYPERNYM,
-                            gconf=gconf(box_visual, label, store.parents, srel_fn))
-            for label in hyper
-        ]
+            VisualCandidate(label, Origin.HYPERNYM, gconf=gconf(label, children, srel_fn))
+            for label, children in hyper]
 
     return CandidateSets(
         box_ids=tuple(box.box_id for box in record.boxes),

@@ -31,10 +31,9 @@ from .knowledge import (
 )
 from .labels import Space, canon_label
 from .scoring import Hyperparameters
-from .textio import data_lines, json_list, json_str, json_table
+from .textio import data_lines, json_list, json_str, json_table, put_new
 from .vsim import accumulate, finalize, read_detections_jsonl, read_vsim_tsv, write_vsim_tsv
 
-log = logging.getLogger(__name__)
 
 EXIT_OK = 0
 EXIT_ERROR = 2
@@ -58,14 +57,18 @@ def _parse_scalar(text: str):
 
 
 def read_config_file(path) -> dict:
-    """Parse a `key = value` config file; `#` also starts a trailing comment."""
+    """Parse a `key = value` config file; `#` also starts a trailing comment.
+    A key given twice (`tau-s` and `tau_s` are one key) is a LoadError."""
     values = {}
     for lineno, line in data_lines(path):
         setting = line.split("#", 1)[0]
         if "=" not in setting:
             raise LoadError(path, f"expected `key = value`, got {line.strip()!r}", lineno)
         key, value = setting.split("=", 1)
-        values[key.strip().replace("-", "_")] = _parse_scalar(value)
+        try:
+            put_new(values, key.strip().replace("-", "_"), _parse_scalar(value), "key")
+        except ValueError as exc:
+            raise LoadError(path, str(exc), lineno) from exc
     return values
 
 
@@ -194,7 +197,7 @@ def _read_refined_jsonl(path) -> dict[str, list[tuple[str, Space]]]:
 def cmd_eval(args) -> int:
     systems = []
     for spec_item in args.system:
-        name, _, path = spec_item.rpartition("=")
+        name, path = spec_item.split("=", 1) if "=" in spec_item else ("", spec_item)
         if not name:
             name = Path(path).stem
         systems.append((name, path))

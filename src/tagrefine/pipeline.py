@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import logging
 from pathlib import Path
 from typing import Iterable, Sequence
 from urllib.parse import quote
@@ -21,7 +20,6 @@ from .relatedness import Relatedness, image_coherence
 from .scoring import Hyperparameters
 from .vsim import DetectionRecord
 
-log = logging.getLogger(__name__)
 
 # with the joint budget disabled, output still trims to the standard budget
 POST_TRUNCATION_CAP = 5

@@ -35,10 +35,6 @@ from .labels import PairTable, tokens
 # holds a multiword label's mean vector (8 * dim bytes) and about 300 bytes
 # of key, tuple, norm and cache links: some 22 MiB for 300-d vectors.
 LABEL_CACHE = 8192
-# Row counts whose lower-triangle indices `Relatedness.table` keeps for its
-# mirror copy, 8 * n * (n - 1) bytes each. A table's rows are an image's
-# distinct visual labels, a few dozen.
-MIRROR_CACHE = 128
 
 
 class SrelTable:
@@ -165,17 +161,7 @@ class Relatedness:
 def _mirror_upper(square: np.ndarray) -> None:
     """Copy the strict upper triangle of `square` onto its lower one, in
     place: [j, i] takes [i, j] for every i < j."""
-    lower = _lower_triangle(len(square))
-    square[lower] = square.T[lower]
-
-
-@lru_cache(maxsize=MIRROR_CACHE)
-def _lower_triangle(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """`np.tril_indices(n, -1)`, read-only, for the tables' mirror copy."""
-    lower = np.tril_indices(n, -1)
-    for at in lower:
-        at.setflags(write=False)
-    return lower
+    np.copyto(square, square.T, where=np.tri(len(square), k=-1, dtype=bool))
 
 
 def _entry(emb: EmbeddingTable, label: str) -> tuple[np.ndarray, float] | None:

@@ -1,26 +1,22 @@
-"""Confidence scores feeding the selection objective.
-
-Two families:
+"""Confidence scores feeding the selection objective, and its weights.
 
 * vconf -- how strongly the detector (directly or through visual similarity)
-  backs a concrete label for a box;
+  backs a concrete label for a box; `candidates.visual_candidates` works it
+  out in the walk that finds the box's similar labels;
 * gconf -- how strongly a hypernym generalizes the box's visual labels,
-  summed semantic relatedness to its children present in the box.
-
-Abstract candidates are scored in `candidates.rank_abstract`: a phrase's
-aconf is its strongest assertion weight (cnet) times its semantic
-relatedness to the visual label it is most related to.
+  summed semantic relatedness to its children in the box (`gconf`);
+* aconf -- an abstract phrase's strongest assertion weight (cnet) times its
+  semantic relatedness to the visual label it is most related to
+  (`candidates.rank_abstract`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable
 
-from .errors import ConfigError, ContractViolation
-from .labels import PairTable
-from .vsim import BoundingBox
+from .errors import ConfigError
 
 SrelFn = Callable[[str, str], float]
 
@@ -71,41 +67,14 @@ class Hyperparameters:
             raise ConfigError(f"abstract_cap must be >= 1, got {self.abstract_cap!r}")
 
 
-def vconf(box: BoundingBox, label: str, vsim_table: PairTable) -> float:
-    """Visual confidence of a concrete label for a box.
+def gconf(hypernym: str, children: Iterable[str], srel_fn: SrelFn) -> float:
+    """Generalization confidence: summed relatedness to the hypernym's
+    children in the box.
 
-    Original detections keep their detector confidence; visually-similar
-    additions earn the similarity-weighted sum of the box's original
-    confidences. Anything else is a caller bug.
+    Sums with `+` in the order of `children`, so an ordered sequence gives
+    the same bits in every process and under every Python version.
     """
-    originals = dict(box.candidates)
-    if label in originals:
-        return originals[label]
-    sims = [(conf, vsim_table.get(orig_label, label)) for orig_label, conf in box.candidates]
-    if not any(s > 0.0 for _, s in sims):
-        raise ContractViolation(
-            f"label {label!r} is neither original nor visually similar in box {box.box_id!r}"
-        )
-    return sum(conf * s for conf, s in sims)
-
-
-def gconf(
-    box_visual_labels: Sequence[str],
-    hypernym: str,
-    parents: Mapping[str, tuple[str, ...]],
-    srel_fn: SrelFn,
-) -> float:
-    """Generalization confidence: summed relatedness to children in this box.
-
-    Exactly 0 for labels that are themselves original or similar candidates
-    of the box. Sums in the order of `box_visual_labels`, so an ordered
-    sequence gives the same bits in every process.
-    """
-    if hypernym in box_visual_labels:
-        return 0.0
     total = 0.0
-    for child in box_visual_labels:
-        if hypernym in parents.get(child, ()):
-            total += srel_fn(hypernym, child)
+    for child in children:
+        total += srel_fn(hypernym, child)
     return total
-

@@ -278,13 +278,6 @@ def finalize(acc: MiningAccumulator) -> PairTable:
     return table
 
 
-def similar_set(table: PairTable, label: str, tau_s: float) -> set[str]:
-    """Labels visually similar to `label` at threshold tau_s in (0, 1]."""
-    if not (0.0 < tau_s <= 1.0):
-        raise ValueError(f"tau_s must be in (0, 1], got {tau_s!r}")
-    return {other for other, score in table.neighbors(label).items() if score >= tau_s}
-
-
 # --- corpus and table serialization -----------------------------------------
 
 def parse_record(obj: dict, canon: CanonLabels) -> DetectionRecord:

@@ -2,15 +2,15 @@ import random
 
 import pytest
 
+import candidates_reference as ref
 from tagrefine.candidates import (
     AbstractCandidate,
     VisualCandidate,
-    asserted_objects,
-    expand_hypernyms,
-    expand_similar,
     generate,
+    hypernym_children,
     phrase_supports,
     rank_abstract,
+    visual_candidates,
 )
 from tagrefine.errors import ConfigError
 from tagrefine.knowledge import KnowledgeStore, load_assertions
@@ -30,7 +30,7 @@ FLAT_SREL = lambda a, b: 0.5
 
 def generate_abstract(visual, by_subject, cap, srel_fn):
     """Abstract candidates for a set of visual labels, as `generate` ranks them."""
-    supports = phrase_supports(asserted_objects(visual, by_subject))
+    supports = phrase_supports(visual, by_subject)
     return rank_abstract(supports, supports.srel(srel_fn), cap)
 
 
@@ -43,37 +43,53 @@ def by_subject(tmp_path, assertions):
     return load_assertions(path)
 
 
+def similar(box, table, tau_s):
+    """The similar labels `visual_candidates` finds, checked against the
+    reference."""
+    got = [c.label for c in visual_candidates(box, table, tau_s) if c.origin is Origin.SIMILAR]
+    assert got == sorted(ref.expand_similar(box, table, tau_s))
+    return set(got)
+
+
 class TestExpandSimilar:
     def test_neighbors_of_original(self):
         table = PairTable({("a", "b"): 0.6})
-        assert expand_similar(box(a=0.5), table, 0.5) == {"b"}
+        assert similar(box(a=0.5), table, 0.5) == {"b"}
 
     def test_originals_subtracted(self):
         table = PairTable({("a", "b"): 0.6})
-        assert expand_similar(box(a=0.5, b=0.4), table, 0.5) == set()
+        assert similar(box(a=0.5, b=0.4), table, 0.5) == set()
 
     def test_empty_table(self):
-        assert expand_similar(box(a=0.5), PairTable(), 0.5) == set()
+        assert similar(box(a=0.5), PairTable(), 0.5) == set()
+
+
+def hypernyms(labels, parents):
+    """The hypernyms `hypernym_children` lists, checked against the reference."""
+    got = [parent for parent, _ in hypernym_children(labels, parents)]
+    assert got == ref.expand_hypernyms(labels, parents)
+    return got
 
 
 class TestExpandHypernyms:
     parents = {"ant": ("insect",), "bee": ("insect",), "dog": ("canine",)}
 
     def test_ant_generalizes_to_insect(self):
-        assert expand_hypernyms({"ant"}, self.parents) == ["insect"]
+        assert hypernyms(["ant"], self.parents) == ["insect"]
 
     def test_empty_input(self):
-        assert expand_hypernyms(set(), self.parents) == []
+        assert hypernyms([], self.parents) == []
 
     def test_shared_parent_listed_once(self):
-        assert expand_hypernyms({"ant", "bee"}, self.parents) == ["insect"]
+        assert hypernyms(["ant", "bee"], self.parents) == ["insect"]
+        assert hypernym_children(["bee", "ant"], self.parents) == [("insect", ["bee", "ant"])]
 
     def test_parents_sorted(self):
-        assert expand_hypernyms(["dog", "ant"], self.parents) == ["canine", "insect"]
+        assert hypernyms(["dog", "ant"], self.parents) == ["canine", "insect"]
 
     def test_parent_among_the_labels_left_out(self):
         # already an original or similar candidate of the box
-        assert expand_hypernyms(["ant", "insect", "dog"], self.parents) == ["canine"]
+        assert hypernyms(["ant", "insect", "dog"], self.parents) == ["canine"]
 
 
 class TestGenerateAbstract:
@@ -163,12 +179,130 @@ def test_rank_abstract_matches_reference():
         levels = [0.0, 0.25, 0.5, 1.0, rng.random(), rng.random()]
         values = {}
         srel = lambda a, b: values.setdefault((a, b), rng.choice(levels))
-        supporting = asserted_objects(subjects, by_subject)
+        supporting = ref.asserted_objects(subjects, by_subject)
         cap = rng.randint(1, 8)
-        supports = phrase_supports(supporting)
+        supports = phrase_supports(subjects, by_subject)
         got = [(c.label, c.cnet, c.aconf)
                for c in rank_abstract(supports, supports.srel(srel), cap)]
         assert got == rank_abstract_reference(supporting, cap, srel)
+
+
+def reference_per_box(record, store, tau_s, srel_fn):
+    """Each box's candidates as they were built a label at a time: the
+    similar labels, then a vconf walk per label, then gconf's parent scan
+    per hypernym."""
+    per_box, visual = {}, {}
+    for b in record.boxes:
+        original = list(b.labels())
+        similar = sorted(ref.expand_similar(b, store.vsim, tau_s))
+        hyper = ref.expand_hypernyms(original + similar, store.parents)
+        fixed = [VisualCandidate(label, Origin.ORIGINAL, ref.vconf(b, label, store.vsim))
+                 for label in original]
+        fixed += [VisualCandidate(label, Origin.SIMILAR, ref.vconf(b, label, store.vsim))
+                  for label in similar]
+        per_box[b.box_id] = fixed + [
+            VisualCandidate(label, Origin.HYPERNYM,
+                            gconf=ref.gconf(original + similar, label, store.parents, srel_fn))
+            for label in hyper]
+        visual.update(dict.fromkeys([*original, *similar, *hyper]))
+    return per_box, visual
+
+
+def bits(candidates):
+    return [(c.label, c.origin, c.vconf.hex(), c.gconf.hex()) for c in candidates]
+
+
+class TestWalkOracle:
+    """`visual_candidates`, `hypernym_children`, `gconf` and
+    `phrase_supports`, through `generate`, against the reference scans,
+    bit for bit, on seeded random images whose boxes share labels and
+    parents."""
+
+    def random_image(self, rng, n):
+        labels = [f"l{i}" for i in range(rng.randint(5, 14))]
+        tau_s = rng.choice([0.1, 0.3, 0.5, 0.75])
+        # scores below, at and above tau_s, some of them tiny
+        scores = lambda: rng.choice([rng.uniform(0, tau_s), tau_s, rng.uniform(tau_s, 1),
+                                     rng.random() * 1e-3])
+        vsim = PairTable({tuple(rng.sample(labels, 2)): scores()
+                          for _ in range(rng.randint(0, 3 * len(labels)))})
+        # a label's parents are drawn from other labels as well as from
+        # parent-only names, so a parent may be a label of this box or another
+        names = labels + [f"p{i}" for i in range(4)]
+        parents = {label: tuple(sorted(set(rng.sample(names, rng.randint(0, 3))) - {label}))
+                   for label in labels}
+        phrases = labels[:3] + [f"q{i}" for i in range(5)]
+        by_subject = {label: {obj: rng.choice([1.0, 2.0, rng.uniform(0.1, 9)])
+                              for obj in rng.sample(phrases, rng.randint(0, 3)) if obj != label}
+                      for label in labels}
+        boxes = tuple(
+            BoundingBox(f"b{j}", tuple((label, rng.choice([rng.random() or 1.0, 0.5, 1e-300]))
+                                       for label in rng.sample(labels, rng.randint(1, 5))))
+            for j in range(rng.randint(1, 5)))
+        store = KnowledgeStore.assemble(parents=parents, by_subject=by_subject, vsim=vsim)
+        return DetectionRecord(f"i{n}", boxes), store, tau_s
+
+    def test_matches_reference(self):
+        rng = random.Random(25)
+        seen = dict.fromkeys(["boxes", "below tau_s in a similar vconf", "not similar",
+                              "label in two boxes", "hypernym of two boxes",
+                              "hypernym is another box's label", "parent is a box label",
+                              "hypernym of two children", "phrase of two labels"], 0)
+        for n in range(150):
+            record, store, tau_s = self.random_image(rng, n)
+            values = {}
+            srel = lambda a, b: values.setdefault((a, b), rng.choice([0.0, 1.0, rng.random()]))
+            sets = generate(record, store, Hyperparameters(tau_s=tau_s, abstract_cap=8), srel)
+            want, visual = reference_per_box(record, store, tau_s, srel)
+            assert list(sets.per_box) == list(want)
+            for box_id, cands in sets.per_box.items():
+                assert bits(cands) == bits(want[box_id])
+                labels = [c.label for c in cands if c.origin is not Origin.HYPERNYM]
+                assert hypernym_children(labels, store.parents) == [
+                    (h, [c for c in labels if h in store.parents.get(c, ())])
+                    for h in ref.expand_hypernyms(labels, store.parents)]
+            assert [(c.label, c.cnet, c.aconf.hex()) for c in sets.abstract] == [
+                (label, cnet, aconf.hex()) for label, cnet, aconf
+                in rank_abstract_reference(ref.asserted_objects(visual, store.by_subject), 8, srel)]
+            supports = phrase_supports(visual, store.by_subject)
+            supporting = ref.asserted_objects(visual, store.by_subject)
+            starts = [0, *supports.counts.cumsum().tolist()]
+            assert supports.phrases == sorted(supporting)
+            assert supports.cnet.tolist() == [max(supporting[p].values()) for p in supports.phrases]
+            for p, lo, hi in zip(supports.phrases, starts, starts[1:]):
+                assert supports.subjects[lo:hi] == [s for s in visual if s in supporting[p]]
+                seen["phrase of two labels"] += hi - lo > 1
+
+            # what the draws reached
+            box_labels = {b: {c.label for c in cands if c.origin is not Origin.HYPERNYM}
+                          for b, cands in sets.per_box.items()}
+            hypernyms = {b: {c.label for c in cands if c.origin is Origin.HYPERNYM}
+                         for b, cands in sets.per_box.items()}
+            for b in record.boxes:
+                seen["boxes"] += 1
+                detected = dict(b.candidates)
+                for c in sets.per_box[b.box_id]:
+                    if c.origin is Origin.SIMILAR:
+                        terms = [store.vsim.get(d, c.label) for d in detected]
+                        seen["below tau_s in a similar vconf"] += any(
+                            0 < t < tau_s for t in terms)
+                near = {o for d in detected for o in store.vsim.neighbors(d)} - detected.keys()
+                seen["not similar"] += len(near - box_labels[b.box_id])
+                others = [o for o in box_labels if o != b.box_id]
+                seen["label in two boxes"] += any(box_labels[b.box_id] & box_labels[o]
+                                                  for o in others)
+                seen["hypernym of two boxes"] += any(hypernyms[b.box_id] & hypernyms[o]
+                                                     for o in others)
+                seen["hypernym is another box's label"] += any(
+                    hypernyms[b.box_id] & box_labels[o] for o in others)
+                seen["parent is a box label"] += any(
+                    set(store.parents.get(label, ())) & box_labels[b.box_id]
+                    for label in box_labels[b.box_id])
+                seen["hypernym of two children"] += sum(
+                    sum(label in store.parents.get(child, ()) for child in box_labels[b.box_id]) > 1
+                    for label in hypernyms[b.box_id])
+        assert seen["boxes"] >= 300
+        assert all(seen.values()), seen
 
 
 class TestGenerate:

@@ -337,6 +337,20 @@ class TestRefine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
 
+    @pytest.mark.parametrize("lines", [["budget = 2", "budget = 3"],
+                                       ["tau-s = 0.2", "alpha = 1", "tau_s = 0.3"]])
+    def test_repeated_config_key_exits_2_naming_line(self, fixtures_dir, tmp_path,
+                                                     knowledge_args, capsys, lines):
+        config = tmp_path / "run.cfg"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o.jsonl"
+        rc = main(["refine", "--detections", str(fixtures_dir / "detections.jsonl"),
+                   "--out", str(out), "--config", str(config), *knowledge_args])
+        assert rc == 2
+        assert not out.exists()
+        key = lines[0].split(" ")[0].replace("-", "_")
+        assert f"{config}:{len(lines)}: duplicate key {key!r}" in capsys.readouterr().err
+
     def test_select_incoherent_filter(self, tmp_path, knowledge_args):
         detections = tmp_path / "det.jsonl"
         rows = [
@@ -431,6 +445,19 @@ class TestEval:
         # 3 pools x 2 modes
         assert len(rows) == 6
         assert all(row[0] == "mysys" for row in rows)
+
+    def test_system_path_with_equals_sign(self, fixtures_dir, tmp_path, refined_path):
+        # NAME ends at the first `=`; the rest, `=` included, is the path
+        (tmp_path / "a=b").mkdir()
+        system = tmp_path / "a=b" / "refined.jsonl"
+        system.write_bytes(refined_path.read_bytes())
+        out = tmp_path / "metrics.tsv"
+        rc = main(["eval", "--system", f"mysys={system}",
+                   "--judgments", str(fixtures_dir / "judgments.jsonl"),
+                   "--out", str(out)])
+        assert rc == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 6 and all(row[0] == "mysys" for row in rows)
 
     def test_two_systems_doubled_rows(self, fixtures_dir, tmp_path, refined_path):
         out = tmp_path / "metrics.tsv"

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tagrefine.candidates import expand_similar
+from tagrefine.candidates import visual_candidates
 from tagrefine.errors import ConfigError, LoadError
 from tagrefine.evaluation import (
     CONSERVATIVE,
@@ -205,7 +205,8 @@ class TestTune:
         if not pinned:
             # the draws must reach vsim scores on both sides of tau_s, or every
             # trial would have the same candidates
-            similar = {tuple(frozenset(expand_similar(box, fixture_store.vsim, r.params["tau_s"]))
+            similar = {tuple(tuple(c.label for c in visual_candidates(
+                                 box, fixture_store.vsim, r.params["tau_s"]))
                              for record in fixture_records for box in record.boxes)
                        for r in log}
             assert len(similar) > 1

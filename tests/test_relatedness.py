@@ -530,19 +530,6 @@ class TestMirrorCopy:
 
 
 class TestTableCaches:
-    def test_mirror_indices_are_read_only_and_bounded(self):
-        lower = relatedness._lower_triangle(5)
-        assert [at.tolist() for at in lower] == [at.tolist() for at in np.tril_indices(5, -1)]
-        assert not any(at.flags.writeable for at in lower)
-        info = relatedness._lower_triangle.cache_info()
-        assert info.maxsize == relatedness.MIRROR_CACHE
-        try:
-            for n in range(relatedness.MIRROR_CACHE + 5):
-                relatedness._lower_triangle(n)
-            assert relatedness._lower_triangle.cache_info().currsize == relatedness.MIRROR_CACHE
-        finally:
-            relatedness._lower_triangle.cache_clear()
-
     def test_blend_at_own_delta_is_the_table(self):
         rel = Relatedness(emb(a=[1.0, 0.0], b=[0.6, 0.8]), PairTable({("a", "b"): 2}), 0.4)
         table = rel.table(["a", "b"])

@@ -2,15 +2,30 @@ from dataclasses import replace
 
 import pytest
 
-from tagrefine.candidates import asserted_objects, phrase_supports, rank_abstract
+from candidates_reference import gconf as gconf_reference
+from candidates_reference import vconf as vconf_reference
+from tagrefine.candidates import (
+    hypernym_children,
+    phrase_supports,
+    rank_abstract,
+    visual_candidates,
+)
 from tagrefine.errors import ConfigError, ContractViolation
 from tagrefine.labels import PairTable
-from tagrefine.scoring import Hyperparameters, gconf, vconf
+from tagrefine.scoring import Hyperparameters, gconf
 from tagrefine.vsim import BoundingBox
 
 
 def box(**cands):
     return BoundingBox(box_id="b1", candidates=tuple(cands.items()))
+
+
+def vconf(box, label, table, tau_s=0.1):
+    """The vconf `visual_candidates` gives `label`, which must be one of the
+    box's candidates; checked against the reference."""
+    [got] = [c.vconf for c in visual_candidates(box, table, tau_s) if c.label == label]
+    assert got == vconf_reference(box, label, table)
+    return got
 
 
 class TestHyperparameters:
@@ -25,6 +40,12 @@ class TestHyperparameters:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ConfigError):
             Hyperparameters(budget=0)
+
+    @pytest.mark.parametrize("tau_s", [0, 0.0, 1.5, -0.1])
+    def test_tau_s_out_of_range_rejected(self, tau_s):
+        with pytest.raises(ConfigError, match="tau_s"):
+            Hyperparameters(tau_s=tau_s)
+        assert Hyperparameters(tau_s=1.0).tau_s == 1.0
 
     def test_budget_none_allowed(self):
         assert Hyperparameters(budget=None).budget is None
@@ -52,8 +73,15 @@ class TestVconf:
         assert result == pytest.approx(0.35)  # 0.5*0.4 + 0.3*0.5, by hand
 
     def test_unrelated_label_is_contract_violation(self):
+        # for the reference; the walk offers no such candidate to score
         with pytest.raises(ContractViolation):
-            vconf(box(dog=0.5), "piano", PairTable())
+            vconf_reference(box(dog=0.5), "piano", PairTable())
+        assert [c.label for c in visual_candidates(box(dog=0.5), PairTable(), 0.1)] == ["dog"]
+
+    def test_terms_below_tau_s_count(self):
+        # wolf is similar through coyote alone, but dog's term counts too
+        table = PairTable({("dog", "wolf"): 0.4, ("coyote", "wolf"): 0.5})
+        assert vconf(box(dog=0.5, coyote=0.3), "wolf", table, 0.45) == pytest.approx(0.35)
 
     def test_monotone_in_vsim_and_conf(self):
         lo = PairTable({("dog", "wolf"): 0.3})
@@ -65,24 +93,36 @@ class TestVconf:
 class TestGconf:
     parents = {"ant": ("insect",), "bee": ("insect",), "dog": ("canine",)}
 
+    def gconf(self, labels, hypernym, srel):
+        """gconf over the children `hypernym_children` lists for `hypernym`,
+        0 when it lists none; checked against the reference."""
+        children = dict(hypernym_children(labels, self.parents)).get(hypernym, [])
+        got = gconf(hypernym, children, srel)
+        assert got == gconf_reference(labels, hypernym, self.parents, srel)
+        return got
+
     def test_single_child(self):
         srel = lambda a, b: 0.6
-        assert gconf(["ant"], "insect", self.parents, srel) == pytest.approx(0.6)
+        assert self.gconf(["ant"], "insect", srel) == pytest.approx(0.6)
 
     def test_two_children_sum(self):
         srel = lambda a, b: {"ant": 0.6, "bee": 0.3}[b]
-        got = gconf(["ant", "bee"], "insect", self.parents, srel)
+        got = self.gconf(["ant", "bee"], "insect", srel)
         assert got == pytest.approx(0.9)  # 0.6 + 0.3, by hand
+        assert gconf("insect", ["ant", "bee"], srel) == 0.6 + 0.3
 
     def test_zero_for_non_hypernym_candidates(self):
         srel = lambda a, b: 0.9
-        # a label that is itself an original/similar candidate scores 0
-        assert gconf(["ant", "insect"], "insect", self.parents, srel) == 0.0
-        assert gconf(["ant"], "ant", self.parents, srel) == 0.0
+        # a label that is itself an original/similar candidate is no hypernym
+        # of the box, so it scores 0
+        assert self.gconf(["ant", "insect"], "insect", srel) == 0.0
+        assert self.gconf(["ant"], "ant", srel) == 0.0
+        assert hypernym_children(["ant", "insect"], self.parents) == []
 
     def test_zero_when_no_children_present(self):
         srel = lambda a, b: 0.9
-        assert gconf(["dog"], "insect", self.parents, srel) == 0.0
+        assert self.gconf(["dog"], "insect", srel) == 0.0
+        assert gconf("insect", [], srel) == 0.0
 
 
 def aconf(label, assertion, srel):
@@ -91,7 +131,7 @@ def aconf(label, assertion, srel):
     `assertion` is a (subject, relation, object, score) row.
     """
     subject, _, obj, score = assertion
-    supports = phrase_supports(asserted_objects({label}, {subject: {obj: score}}))
+    supports = phrase_supports({label}, {subject: {obj: score}})
     [candidate] = rank_abstract(supports, supports.srel(srel), 10)
     assert candidate.label == obj
     return candidate.aconf

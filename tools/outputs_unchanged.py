@@ -9,8 +9,8 @@ only read. Then each tree's `src` runs the same commands, from WORK/base and
 WORK/change with the same relative output paths:
 
 * `paper` and `wide`: `refine` with the benchmark's flags, and again with
-  `--dump-lp`, with `--budget none --visir-star`, and with
-  `--select-incoherent`;
+  `--dump-lp`, with `--budget none --visir-star`, with
+  `--select-incoherent`, and with `--tau-s 0.75`;
 * `tune`: the benchmark's `tune` run and its trial log;
 * `mine`: the benchmark's `mine-vsim` run and its `vsim.tsv`;
 * `fixture`: on BASE's `tests/fixtures` (only read), `mine-vsim`, then
@@ -46,6 +46,10 @@ REFINE_VARIANTS = {
     "dump-lp": ["--dump-lp", "{out}/lp"],
     "budget-none-visir-star": ["--budget", "none", "--visir-star"],
     "select-incoherent": ["--select-incoherent"],
+    # every benchmark vsim score is at least 0.395, so at the benchmark's
+    # tau_s nothing is filtered; at 0.75 some similar labels' vconf sums
+    # hold terms below the threshold
+    "tau-s-0.75": ["--tau-s", "0.75"],
 }
 # {fx} is the fixtures directory, {out} the chain's output directory
 FIXTURE_STORE = ["--vsim", "{out}/vsim.tsv", "--embeddings", "{fx}/embeddings.txt",
