@@ -32,7 +32,14 @@ from .knowledge import (
 from .labels import Space, canon_label
 from .scoring import Hyperparameters
 from .textio import data_lines, json_list, json_str, json_table, put_new
-from .vsim import accumulate, finalize, read_detections_jsonl, read_vsim_tsv, write_vsim_tsv
+from .vsim import (
+    MiningAccumulator,
+    accumulate,  # noqa: F401 -- not called: perfbench/tracing.py wraps `cli.accumulate` by name
+    finalize,
+    read_detections_jsonl,
+    read_vsim_tsv,
+    write_vsim_tsv,
+)
 
 
 EXIT_OK = 0
@@ -156,9 +163,8 @@ def load_store(args) -> KnowledgeStore:
 
 def cmd_mine_vsim(args) -> int:
     validate_paths(args.corpus)
-    records, skipped = read_detections_jsonl(args.corpus)
-    acc = accumulate(records)
-    del records  # folded in: free them before the table is built
+    acc = MiningAccumulator()
+    _, skipped = read_detections_jsonl(args.corpus, into=acc)
     table = finalize(acc)
     write_vsim_tsv(table, args.out)
     print(f"mined {len(table)} label pairs over {len(table.labels())} labels "

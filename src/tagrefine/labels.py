@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 from collections import defaultdict
 from types import MappingProxyType
-from typing import Iterator, KeysView, Mapping
+from typing import Iterable, Iterator, KeysView, Mapping
 
 from .textio import json_str
 
@@ -61,6 +61,17 @@ class PairTable:
         self.max_value = 0
         for (a, b), value in (values or {}).items():
             self.add(a, b, value)
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[str, str, float]]) -> PairTable:
+        """The table of `pairs`, (a, b, value) with a != b and no pair given
+        twice in either order: the table `add` would build of them."""
+        table = cls()
+        rows = table._neighbors
+        for a, b, value in pairs:
+            rows[a][b] = rows[b][a] = value
+        table.max_value = max((max(row.values()) for row in rows.values()), default=0)
+        return table
 
     def add(self, a: str, b: str, value: float) -> None:
         """Add `value` to the pair's; a pair given twice, in either order,

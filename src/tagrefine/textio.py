@@ -57,6 +57,20 @@ def tsv_fields(path, lineno: int, line: str, n: int) -> list[str]:
     return parts
 
 
+_scan_json = json.JSONDecoder().scan_once
+
+
+def json_value(line: str):
+    """`json.loads(line)`, raising what it raises. A line that is exactly
+    one JSON value, with no blank around it, is scanned without the
+    wrapper's checks; any other goes through `json.loads`."""
+    try:
+        value, end = _scan_json(line, 0)
+    except (StopIteration, ValueError):
+        end = -1
+    return value if end == len(line) else json.loads(line)
+
+
 def json_table(path, what: str, key: str, parse: Callable[[Any], tuple[K, V]]) -> dict[K, V]:
     """The (key, value) pairs that `parse` makes of each data line's decoded
     JSON value, as a dict.

@@ -24,12 +24,17 @@ as a Fraction, so each score is the double nearest the exact ratio and the
 table is the same, bit for bit, as one built from exact rational sums.
 
 The ints are Python ints held in NumPy arrays of dtype object, and records
-are folded in chunks of a few thousand candidates with `np.add.at`, which
-adds them with Python's exact int addition; E rises at most once per chunk
-(MiningAccumulator). A confidence of 2^-7 (about 0.008) or more has
-k <= 59, so a corpus of such confidences stays at E = 64, and each of its
-values is an int of at most 117 bits rather than the 1,000 or more that one
-fixed unit of 2^-1074 needs.
+are folded in chunks of at most `CHUNK_BOUND` (8,192) candidates with
+`np.add.at`, which adds them with Python's exact int addition; E rises at
+most once per chunk (MiningAccumulator). A confidence of 2^-7 (about 0.008)
+or more has k <= 59, so a corpus of such confidences stays at E = 64, and
+each of its values is an int of at most 117 bits rather than the 1,000 or
+more that one fixed unit of 2^-1074 needs.
+
+`read_detections_jsonl(path, into=acc)` streams a corpus into an
+accumulator: each line is decoded, checked and its candidates buffered as
+it is read, so mining holds one chunk, the sums and the image ids seen, not
+the corpus. Without `into` the same walk returns the records.
 """
 
 from __future__ import annotations
@@ -39,13 +44,13 @@ import logging
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import LoadError
 from .labels import CanonLabels, PairTable
-from .textio import data_lines, json_str, tsv_fields
+from .textio import data_lines, json_str, json_value, tsv_fields
 
 log = logging.getLogger(__name__)
 
@@ -140,9 +145,10 @@ class MiningAccumulator:
     total, and `_sums[p]` the sum of the pair with key `_keys[p]`, the keys
     kept sorted.
 
-    `add` buffers a record's candidates, and a chunk is folded in once its
-    next box would take it past `CHUNK_BOUND` candidates or pairs; a box
-    with more pairs than that is folded in slices of that many. A
+    `add` and `add_boxes` buffer a record's candidates, and a chunk is
+    folded in once its next box would take it past `CHUNK_BOUND` candidates
+    or pairs; a box with more pairs than that is folded in slices of that
+    many. A
     confidence n * 2^-k is the int n << (scale - k) in units of 2^-scale.
     `np.add.at` adds it to its label's total, and the two values of each
     pair of a box to the pair's sum, which `np.unique` groups by key. Those
@@ -169,15 +175,20 @@ class MiningAccumulator:
         self.records_seen = 0
 
     def add(self, record: DetectionRecord) -> None:
-        """Buffer one record, folding the chunk in first wherever the
-        record's next box would take it past `CHUNK_BOUND`."""
+        """Buffer one record."""
+        self.add_boxes([box.candidates for box in record.boxes])
+
+    def add_boxes(self, boxes: Iterable[Sequence[tuple[str, float]]]) -> None:
+        """Buffer one record given as its boxes' (label, conf) candidates,
+        folding the chunk in first wherever the record's next box would take
+        it past `CHUNK_BOUND`."""
         cands, sizes = self._cands, self._sizes
-        for box in record.boxes:
-            m = len(box.candidates)
+        for box in boxes:
+            m = len(box)
             pairs = m * (m - 1) >> 1
             if cands and (len(cands) + m > CHUNK_BOUND or self._pairs + pairs > CHUNK_BOUND):
                 self.flush()
-            cands += box.candidates
+            cands += box
             sizes.append(m)
             self._pairs += pairs
         self.records_seen += 1
@@ -233,10 +244,12 @@ class MiningAccumulator:
         # a key moves up by the new keys inserted before it
         return pos + np.cumsum(new) - new
 
-    def _pair_sums(self) -> Iterator[tuple[int, int, int]]:
-        """(lo, hi, sum) of every pair, lo and hi its label ids, in key order."""
-        keys = self._keys
-        return zip((keys >> _ID_BITS).tolist(), (keys & _ID_MASK).tolist(), self._sums.tolist())
+    def _pair_ids(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower and the higher label id of every pair, in key order."""
+        return self._keys >> _ID_BITS, self._keys & _ID_MASK
+
+    def _labels_of(self, ids: np.ndarray) -> list[str]:
+        return np.array(list(self._ids), object)[ids].tolist()
 
     @property
     def total_conf(self) -> dict[str, int]:
@@ -248,8 +261,8 @@ class MiningAccumulator:
     def pair_conf(self) -> dict[tuple[str, str], int]:
         """(a, b), a < b -> the pair's sum, in units of 2^-`scale`."""
         self.flush()
-        labels = list(self._ids)
-        return {_pair(labels[lo], labels[hi]): num for lo, hi, num in self._pair_sums()}
+        lo, hi = map(self._labels_of, self._pair_ids())
+        return dict(zip(map(_pair, lo, hi), self._sums.tolist()))
 
 
 def accumulate(corpus: Iterable[DetectionRecord]) -> MiningAccumulator:
@@ -269,26 +282,63 @@ def finalize(acc: MiningAccumulator) -> PairTable:
     pair that never shared a box is not stored (implicit score 0).
     """
     acc.flush()
-    labels = list(acc._ids)
-    totals = acc._totals.tolist()
-    table = PairTable()
-    add = table.add
-    for lo, hi, num in acc._pair_sums():
-        add(labels[lo], labels[hi], num / (totals[lo] + totals[hi]))
-    return table
+    lo, hi = acc._pair_ids()
+    # Python int additions and true divisions, one per pair
+    scores = acc._sums / (acc._totals[lo] + acc._totals[hi])
+    return PairTable.from_pairs(zip(acc._labels_of(lo), acc._labels_of(hi), scores.tolist()))
 
 
 # --- corpus and table serialization -----------------------------------------
 
-def parse_record(obj: dict, canon: CanonLabels) -> DetectionRecord:
-    """Build a DetectionRecord from one decoded corpus JSON object; labels
-    are canonicalised through `canon`."""
+def _encodes(text: str) -> bool:
+    """Whether `text` encodes as UTF-8; a JSON escape can spell a lone
+    surrogate ("\\ud800"), which no UTF-8 output can hold."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+class _CorpusLabels(CanonLabels):
+    """`CanonLabels` that also collects the labels that do not encode as
+    UTF-8, so each distinct raw text is tested once."""
+
+    def __init__(self):
+        super().__init__()
+        self.unencodable: set[str] = set()
+
+    def __missing__(self, text: str) -> str:
+        label = super().__missing__(text)
+        if not (label.isascii() or _encodes(label)):
+            self.unencodable.add(label)
+        return label
+
+
+def _walk(obj, canon: _CorpusLabels) -> tuple[str, list[str], list[list[tuple[str, float]]], bool]:
+    """One decoded corpus line: its image id, its box ids, each box's
+    (label, conf) candidates with labels canonicalised through `canon`, and
+    whether the record keeps every `DetectionRecord` invariant.
+
+    A value of the wrong type is a ValueError `malformed detection record:
+    ...`, the first one in reading order, so it wins over a broken
+    invariant. The invariants are tested as the line is read, but raise
+    nothing here: a record that breaks one is built as a `DetectionRecord`,
+    which raises the first one's message.
+    """
     try:
         image_id = json_str(obj["image"])
-        boxes = []
-        for box_obj in obj.get("boxes", []):
+        sound = image_id.isascii() or _encodes(image_id)
+        box_ids, boxes = [], []
+        boxes_obj = obj.get("boxes", [])
+        if type(boxes_obj) is not list:
+            raise ValueError(f"expected a list of boxes, got {boxes_obj!r}")
+        for box_obj in boxes_obj:
+            cands_obj = box_obj.get("candidates", [])
+            if type(cands_obj) is not list:
+                raise ValueError(f"expected a list of candidates, got {cands_obj!r}")
             cands = []
-            for c in box_obj.get("candidates", []):
+            for c in cands_obj:
                 conf = c["conf"]
                 if type(conf) is not float:
                     # a JSON number only: float() would also take true and
@@ -302,35 +352,58 @@ def parse_record(obj: dict, canon: CanonLabels) -> DetectionRecord:
                 except TypeError:  # unhashable, so not a string
                     json_str(label)
                     raise
+                if not 0 < conf < math.inf:  # False for nan too
+                    sound = False
                 cands.append((label, conf))
-            boxes.append(BoundingBox(box_id=json_str(box_obj["id"]), candidates=tuple(cands)))
+            box_id = json_str(box_obj["id"])
+            if not (box_id.isascii() or _encodes(box_id)) or \
+                    (len(cands) > 1 and len(dict(cands)) < len(cands)):  # a repeated label
+                sound = False
+            box_ids.append(box_id)
+            boxes.append(cands)
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed detection record: {exc}") from exc
-    return DetectionRecord(image_id=image_id, boxes=tuple(boxes))
+    if len(box_ids) > 1 and len(set(box_ids)) < len(box_ids):
+        sound = False
+    unencodable = canon.unencodable
+    if unencodable and any(not unencodable.isdisjoint(map(_label, cands)) for cands in boxes):
+        sound = False
+    return image_id, box_ids, boxes, sound
 
 
-def read_detections_jsonl(path) -> tuple[list[DetectionRecord], int]:
-    """Read a detections/corpus JSONL file leniently.
+def read_detections_jsonl(path, into: MiningAccumulator | None = None
+                          ) -> tuple[list[DetectionRecord], int]:
+    """Read a detections/corpus JSONL file leniently, one line at a time.
 
-    Malformed or invariant-breaking lines are skipped with a warning;
-    returns (records, skipped_count). Duplicate image ids keep the first
-    occurrence. Every occurrence of a label is the same string object.
+    Malformed or invariant-breaking lines are skipped with a warning; a
+    repeated image id is skipped too, keeping the first occurrence. Returns
+    (records, skipped_count), every occurrence of a label the same string
+    object. Given `into`, each kept record's boxes are buffered into that
+    accumulator as its line is read and no record is built or kept: the
+    records returned are then `[]`.
     """
-    canon = CanonLabels()
+    canon = _CorpusLabels()
     records: list[DetectionRecord] = []
     seen_ids: set[str] = set()
     skipped = 0
     for lineno, line in data_lines(path):
         try:
-            record = parse_record(json.loads(line), canon)
-            if record.image_id in seen_ids:
-                raise ValueError(f"duplicate image id {record.image_id!r}")
+            image_id, box_ids, boxes, sound = _walk(json_value(line), canon)
+            if into is None or not sound:
+                # raises the first broken invariant, in __post_init__'s order
+                record = DetectionRecord(image_id, tuple(map(BoundingBox, box_ids,
+                                                             map(tuple, boxes))))
+            if image_id in seen_ids:
+                raise ValueError(f"duplicate image id {image_id!r}")
         except ValueError as exc:
             log.warning("%s:%d skipped: %s", path, lineno, exc)
             skipped += 1
             continue
-        seen_ids.add(record.image_id)
-        records.append(record)
+        seen_ids.add(image_id)
+        if into is None:
+            records.append(record)
+        else:
+            into.add_boxes(boxes)
     return records, skipped
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tagrefine import pipeline
+from tagrefine import cli, pipeline, vsim
 from tagrefine.cli import main
 from tagrefine.evaluation import sample_params
 from tagrefine.vsim import read_vsim_tsv
@@ -65,6 +65,29 @@ class TestMineVsim:
         table = read_vsim_tsv(out)
         assert table.get("green mamba", "snake") == pytest.approx(4.8 / 5.8, abs=1e-6)
         assert "label pairs" in capsys.readouterr().out
+
+    def test_builds_no_record(self, fixtures_dir, tmp_path, capsys, monkeypatch):
+        """The corpus is folded as it is read: a valid line makes no
+        `BoundingBox` or `DetectionRecord`, so no record list is held."""
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text((fixtures_dir / "corpus.jsonl").read_text() + "{broken\n")
+        argv = ["mine-vsim", "--corpus", str(corpus), "--out", str(tmp_path / "o.tsv")]
+        assert main(argv) == 0
+        want = (tmp_path / "o.tsv").read_bytes(), capsys.readouterr()
+
+        def no_record(*args):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(vsim, "BoundingBox", no_record)
+        monkeypatch.setattr(vsim, "DetectionRecord", no_record)
+        assert main(argv) == 0
+        assert ((tmp_path / "o.tsv").read_bytes(), capsys.readouterr()) == want
+        assert "from 10 records" in want[1].out and "1 malformed" in want[1].out
+
+    def test_mining_steps_are_bound_in_cli(self):
+        # the benchmark's tracer wraps each step by its name in `cli`
+        for name in ("read_detections_jsonl", "accumulate", "finalize", "write_vsim_tsv"):
+            assert vars(cli)[name] is vars(vsim)[name]
 
     def test_missing_file_exits_2_naming_path(self, tmp_path, capsys):
         rc = main(["mine-vsim", "--corpus", str(tmp_path / "nope.jsonl"),

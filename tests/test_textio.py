@@ -5,8 +5,10 @@ import json
 
 import pytest
 
+from corpus_reading import read_both
 from tagrefine.cli import _read_gold_jsonl, _read_refined_jsonl, read_config_file
 from tagrefine.errors import LoadError
+from tagrefine.textio import json_value
 from tagrefine.evaluation import read_judgments_jsonl
 from tagrefine.knowledge import (
     load_allowlist,
@@ -15,7 +17,7 @@ from tagrefine.knowledge import (
     load_embeddings,
     load_hypernyms,
 )
-from tagrefine.vsim import read_detections_jsonl, read_vsim_tsv
+from tagrefine.vsim import read_vsim_tsv
 
 DETECTION = json.dumps({"image": "i1", "boxes": [
     {"id": "b", "candidates": [{"label": "a", "conf": 0.5}]}]})
@@ -23,7 +25,9 @@ DETECTION = json.dumps({"image": "i1", "boxes": [
 # name -> (reader, one good data line, one malformed data line)
 READERS = {
     "vsim": (read_vsim_tsv, "a\tb\t0.5", "a\tb"),
-    "detections": (read_detections_jsonl, DETECTION, '{"image": "i2", "boxes": ["b"]}'),
+    # the corpus reader on its list and its fold path: (records, skipped)
+    "detections": (lambda path: read_both(path)[:2], DETECTION,
+                   '{"image": "i2", "boxes": ["b"]}'),
     "judgments": (read_judgments_jsonl, '{"image": "i1", "pool": "CL", "labels": {"a": [2]}}',
                   '{"image": "i1", "pool": "CL", "labels": ["a"]}'),
     "refined": (_read_refined_jsonl,
@@ -164,9 +168,12 @@ def test_non_string_detection_id_skipped(bad, tmp_path):
     fields = {"image": "i2", "box": "b", **bad}
     line = json.dumps({"image": fields["image"], "boxes": [
         {"id": fields["box"], "candidates": [{"label": "a", "conf": 0.5}]}]})
-    records, skipped = read_detections_jsonl(write(tmp_path, [DETECTION, line]))
+    path = write(tmp_path, [DETECTION, line])
+    records, skipped, warnings = read_both(path)
     assert [r.image_id for r in records] == ["i1"]
     assert skipped == 1
+    assert warnings == [f"{path}:2 skipped: malformed detection record: expected a string, "
+                        f"got {fields['image' if 'image' in bad else 'box']!r}"]
 
 
 @pytest.mark.parametrize("name, message", [("gold", "bad gold record"),
@@ -177,3 +184,18 @@ def test_line_that_is_not_json_keeps_the_reader_message(name, message, tmp_path)
     path = write(tmp_path, [good, "{broken"])
     with pytest.raises(LoadError, match=f"{path}:2: {message}: Expecting"):
         read(path)
+
+
+def json_outcome(decode, line):
+    try:
+        return "value", decode(line)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("line", [
+    '{"a": [1, 2.5, "x"]}', ' {"a": 1}', '{"a": 1}\t ', '{"a": 1} x', '{"a": 1}{}', '7 8',
+    '\ufeff{"a": 1}', '', '  ', 'NaN', '-Infinity', '1e400', '-0', '[1, 2', '{"a": }',
+    '"\\ud800"', '{"a": 1}\r', "{'a': 1}", 'nul'])
+def test_json_value_decodes_and_fails_as_json_loads(line):
+    assert repr(json_outcome(json_value, line)) == repr(json_outcome(json.loads, line))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from candidates_reference import similar_set as similar_set_reference
+from corpus_reading import assert_same_sums, read_both
 from tagrefine import vsim
 from tagrefine.candidates import visual_candidates
 from tagrefine.errors import LoadError
@@ -107,6 +108,32 @@ class TestFinalize:
         table = finalize(accumulate(corpus))
         assert table.get("a", "b") == pytest.approx(2.0 / 3.0, abs=1e-9)
         assert table.get("b", "a") == table.get("a", "b")
+
+
+def add_built_table(acc):
+    """The table of `acc` built pair by pair with `PairTable.add`, in key order."""
+    labels, totals = list(acc._ids), acc._totals.tolist()
+    table = PairTable()
+    for key, num in zip(acc._keys.tolist(), acc._sums.tolist()):
+        lo, hi = key >> 32, key & (1 << 32) - 1
+        table.add(labels[lo], labels[hi], num / (totals[lo] + totals[hi]))
+    return table
+
+
+class TestFinalizeRows:
+    """`finalize` builds each row in one pass; its table is the one `add`
+    builds, down to the order of labels and neighbours and `max_value`."""
+
+    @pytest.mark.parametrize("n_records", [0, 1, 300])
+    def test_same_table_as_add_builds(self, n_records):
+        acc = accumulate(scale_corpus(seed=n_records, n_records=n_records, n_labels=40))
+        got, want = finalize(acc), add_built_table(acc)
+        assert got == want
+        assert got.max_value == want.max_value and type(got.max_value) is type(want.max_value)
+        assert list(got.labels()) == list(want.labels())
+        assert [list(got.neighbors(a).items()) for a in got.labels()] == \
+            [list(want.neighbors(a).items()) for a in want.labels()]
+        assert (len(got) > 100) == (n_records == 300)
 
 
 def assert_matches_fraction_reference(corpus, acc):
@@ -528,33 +555,58 @@ class TestSerialization:
         path = tmp_path / "corpus.jsonl"
         good = {"image": "i1", "boxes": [{"id": "b", "candidates": [{"label": "a", "conf": 0.5}]}]}
         path.write_text(json.dumps(good) + "\nnot json\n" + json.dumps(good) + "\n")
-        records, skipped = read_detections_jsonl(path)
+        records, skipped, warnings = read_both(path)
         assert len(records) == 1  # second good line is a duplicate image id
         assert skipped == 2
+        assert warnings == [f"{path}:2 skipped: Expecting value: line 1 column 1 (char 0)",
+                            f"{path}:3 skipped: duplicate image id 'i1'"]
 
     @pytest.mark.parametrize("label", [7, None, True, ["a"]])
-    def test_corpus_reader_skips_a_label_that_is_not_a_string(self, tmp_path, caplog, label):
+    def test_corpus_reader_skips_a_label_that_is_not_a_string(self, tmp_path, label):
         path = tmp_path / "corpus.jsonl"
         lines = [{"image": image, "boxes": [{"id": "b", "candidates": [
             {"label": "a", "conf": 0.5}, {"label": text, "conf": 0.5}]}]}
             for image, text in (("i1", label), ("i2", "b"))]
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        records, skipped = read_detections_jsonl(path)
+        records, skipped, warnings = read_both(path)
         assert [r.image_id for r in records] == ["i2"] and skipped == 1
-        assert [r.getMessage() for r in caplog.records] == [
+        assert warnings == [
             f"{path}:1 skipped: malformed detection record: expected a string, got {label!r}"]
 
-    def test_corpus_reader_skips_a_confidence_past_the_doubles(self, tmp_path, caplog):
+    def test_corpus_reader_skips_a_confidence_past_the_doubles(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         lines = [{"image": image, "boxes": [{"id": "b", "candidates": [
             {"label": "a", "conf": 0.5}, {"label": "b", "conf": conf}]}]}
             for image, conf in (("i1", int("1" + "0" * 400)), ("i2", 2))]
         path.write_text("".join(json.dumps(line) + "\n" for line in lines))
-        records, skipped = read_detections_jsonl(path)
+        records, skipped, warnings = read_both(path)
         assert [r.image_id for r in records] == ["i2"] and skipped == 1
         assert records[0].boxes[0].candidates == (("a", 0.5), ("b", 2.0))
-        assert [r.getMessage() for r in caplog.records] == [
+        assert warnings == [
             f"{path}:1 skipped: malformed detection record: int too large to convert to float"]
+
+    @pytest.mark.parametrize("field", ["boxes", "candidates"])
+    @pytest.mark.parametrize("value", [{}, "", "xy", None, 0, {"b": []}])
+    def test_corpus_reader_skips_boxes_or_candidates_that_are_not_a_list(
+            self, tmp_path, field, value):
+        path = tmp_path / "corpus.jsonl"
+        bad = ({"image": "i1", "boxes": value} if field == "boxes" else
+               {"image": "i1", "boxes": [{"id": "b", "candidates": value}]})
+        good = {"image": "i2", "boxes": [{"id": "b", "candidates": [{"label": "a", "conf": 0.5}]}]}
+        path.write_text(json.dumps(bad) + "\n" + json.dumps(good) + "\n")
+        records, skipped, warnings = read_both(path)
+        assert [r.image_id for r in records] == ["i2"] and skipped == 1
+        assert warnings == [f"{path}:1 skipped: malformed detection record: "
+                            f"expected a list of {field}, got {value!r}"]
+
+    def test_corpus_reader_reads_missing_boxes_and_candidates_as_empty(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lines = [{"image": "i1"}, {"image": "i2", "boxes": [{"id": "b"}]},
+                 {"image": "i3", "boxes": [{"id": "b", "candidates": []}]}]
+        path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+        records, skipped, _ = read_both(path)
+        assert skipped == 0
+        assert records == [record("i1"), record("i2", box("b")), record("i3", box("b"))]
 
     def test_corpus_reader_shares_one_string_per_label(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
@@ -563,7 +615,7 @@ class TestSerialization:
             json.dumps({"image": f"i{n}", "boxes": [{"id": "b", "candidates": [
                 {"label": text, "conf": 0.5}, {"label": "Bird", "conf": 0.25}]}]}) + "\n"
             for n, text in enumerate(spellings)))
-        records, skipped = read_detections_jsonl(path)
+        records, skipped, _ = read_both(path)
         assert skipped == 0
         labels = [label for r in records for bx in r.boxes for label in bx.labels()]
         assert sorted(set(labels)) == ["bird", "cat", "dog"]
@@ -573,4 +625,158 @@ class TestSerialization:
 
     def test_corpus_reader_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
-            read_detections_jsonl(tmp_path / "nope.jsonl")
+            read_both(tmp_path / "nope.jsonl")
+
+
+# canonical labels, one of which no UTF-8 output can hold, and spellings of them
+WALK_LABELS = ["a", "b", "dog", "tennis ball", "\u00fcber", "x\ud800"]
+WALK_CONFS = [0.5, 0.25, 1.0, 1e308, 5e-324, 2.0 ** -70, 3]
+BAD_CONFS = [0, 0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def spelling(rng, label):
+    return rng.choice([label, label.upper(), f" {label} ", label.replace(" ", "  ")])
+
+
+def walk_record(rng, n):
+    """(a corpus line, the DetectionRecord it stands for, or the message of
+    the ValueError that building that record raises). About half the
+    records break one or more invariants."""
+    image_id = f"i{n}\ud800" if rng.random() < 0.08 else f"i{n}"
+    boxes, json_boxes = [], []
+    for b in range(rng.randint(0, 3)):
+        box_id = rng.choice([f"b{b}"] * 12 + ["b0", f"b{b}\udc00"])
+        cands, json_cands = [], []
+        for _ in range(rng.choice([0, 1, 2, 3, 4, 6])):
+            label = rng.choice(WALK_LABELS[:-1] * 8 + WALK_LABELS[-1:])
+            conf = rng.choice(WALK_CONFS * 12 + BAD_CONFS)
+            cands.append((label, float(conf)))
+            json_cands.append({"label": spelling(rng, label), "conf": conf})
+        boxes.append(BoundingBox(box_id, tuple(cands)))
+        json_boxes.append({"id": box_id, "candidates": json_cands})
+    line = json.dumps({"image": image_id, "boxes": json_boxes})
+    try:
+        return line, DetectionRecord(image_id, tuple(boxes))
+    except ValueError as exc:
+        return line, str(exc)
+
+
+class TestCorpusWalk:
+    """`read_detections_jsonl` reads each line in one walk that also tests
+    the record invariants; a line that breaks one is built as a
+    `DetectionRecord`, whose `__post_init__` raises the message."""
+
+    def test_walk_accepts_and_rejects_what_post_init_does(self, tmp_path):
+        rng = random.Random("corpus-walk")
+        path = tmp_path / "corpus.jsonl"
+        for _ in range(10):
+            drawn = [walk_record(rng, n) for n in range(60)]
+            path.write_text("".join(line + "\n" for line, _ in drawn))
+            canon = vsim._CorpusLabels()
+            for line, want in drawn:
+                # sound exactly when the record keeps every invariant
+                assert vsim._walk(json.loads(line), canon)[3] == isinstance(want, DetectionRecord)
+            records, skipped, warnings = read_both(path)
+            assert records == [want for _, want in drawn if isinstance(want, DetectionRecord)]
+            assert warnings == [f"{path}:{n} skipped: {want}"
+                                for n, (_, want) in enumerate(drawn, 1) if isinstance(want, str)]
+            assert 10 < skipped < 50
+        # every kind of fault was drawn, and in two orders within a box
+        kinds = {"surrogates not allowed", "duplicate box id", "non-positive confidence",
+                 "duplicate candidate label"}
+        assert all(any(kind in w for w in warnings) for kind in kinds)
+
+    # lines the reader skips for their types or their JSON
+    PARSE_FAULTS = [
+        "{broken", "[1]", "null", '{"boxes": []}', '{"image": 7}',
+        '{"image": "p", "boxes": [{"id": "b", "candidates": [{"label": "a", "conf": "1"}]}]}',
+        '{"image": "p", "boxes": [{"candidates": [{"label": "a", "conf": 0.5}]}]}',
+        '{"image": "p\\ud800", "boxes": [{"id": "b", "candidates": '
+        '[{"label": "a", "conf": 0.0}, {"label": 7, "conf": 0.5}]}]}',
+        '{"image": "p", "boxes": {}}', '  {"image": "p", "boxes": [] } x',
+        '{"image": "p", "boxes": []} {}',
+    ]
+
+    def valid_line(self, rng, image, n_boxes, n_cands, bad=None):
+        """A line of `n_boxes` boxes of `n_cands` candidates (draws of the
+        two callables); `bad` is the confidence of the last one, if given."""
+        labels = [f"label {n}" for n in range(24)] + WALK_LABELS[:5]
+        boxes = [{"id": f"b{b}", "candidates": [
+            {"label": label, "conf": rng.choice(rng.choice(CONF_CLASSES))}
+            for label in rng.sample(labels, n_cands())]} for b in range(n_boxes())]
+        if bad is not None:
+            boxes[-1]["candidates"][-1]["conf"] = bad
+        return json.dumps({"image": image, "boxes": boxes})
+
+    def valid_lines(self, rng, n_records):
+        return [self.valid_line(rng, f"i{n}", lambda: rng.randint(1, 3),
+                                lambda: rng.randint(0, 5)) for n in range(n_records)]
+
+    def fault_lines(self, rng, n_lines):
+        """Faulty lines, among them records of 15 candidates over 3 boxes
+        and of one box of 20 candidates, whose one fault is their last
+        candidate; and comment and blank lines."""
+        lines = [self.valid_line(rng, "straddle", lambda: 3, lambda: 5, rng.choice(BAD_CONFS)),
+                 self.valid_line(rng, "big", lambda: 1, lambda: 20, -1.0)]
+        while len(lines) < n_lines:
+            pick = rng.random()
+            if pick < 0.3:
+                lines.append(rng.choice(self.PARSE_FAULTS))
+            elif pick < 0.4:
+                lines.append(rng.choice(["", "# comment", "  # indented"]))
+            elif pick < 0.5:
+                lines.append(json.dumps({"image": "i0"}))  # a repeat, after the first line
+            else:
+                line, want = walk_record(rng, 10_000 + len(lines))
+                if isinstance(want, str):
+                    lines.append(line)
+        return lines
+
+    def faulty_corpus(self, rng, n_records=80):
+        """Valid records, one of a box of 20 candidates, with the lines of
+        `fault_lines` spread among them."""
+        lines = self.valid_lines(rng, n_records)
+        lines.append(self.valid_line(rng, "big", lambda: 1, lambda: 20))
+        for fault in self.fault_lines(rng, 20):
+            lines.insert(rng.randrange(1, len(lines) + 1), fault)
+        return lines
+
+    def test_fold_matches_list_path_on_faulty_corpora(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(vsim, "CHUNK_BOUND", 16)
+        rng = random.Random("faulty-corpora")
+        path = tmp_path / "corpus.jsonl"
+        for _ in range(8):
+            path.write_text("".join(line + "\n" for line in self.faulty_corpus(rng)))
+            records, skipped, warnings = read_both(path)  # sums, scale and warnings
+            assert skipped == len(warnings) > 5
+            assert records[0].image_id == "i0"
+            assert any(len(bx.candidates) == 20 for r in records for bx in r.boxes)
+            assert any("'straddle' box 'b2': non-positive" in w for w in warnings)
+            assert any("'big' box 'b0': non-positive confidence -1.0" in w for w in warnings)
+
+    def test_a_skipped_line_folds_nothing(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(vsim, "CHUNK_BOUND", 16)
+        rng = random.Random("skipped-lines")
+        lines = self.valid_lines(rng, 60)
+        faults = [line for line in self.fault_lines(rng, 40) if line.strip()[:1] not in ("", "#")]
+        path = tmp_path / "corpus.jsonl"
+
+        def fold(corpus):
+            path.write_text("".join(line + "\n" for line in corpus))
+            acc = vsim.MiningAccumulator()
+            _, skipped = read_detections_jsonl(path, into=acc)
+            return acc, skipped
+
+        want, _ = fold(lines)
+        for fault in faults:
+            at = rng.randrange(1, len(lines) + 1)
+            acc, skipped = fold([*lines[:at], fault, *lines[at:]])
+            assert skipped == 1, fault
+            # the same chunk buffered, and the same sums folded in before it
+            assert (acc._cands, acc._sizes, acc._pairs) == (want._cands, want._sizes, want._pairs)
+            assert acc.records_seen == want.records_seen
+            assert list(acc._ids) == list(want._ids)
+            assert (acc._keys == want._keys).all()
+            assert acc._sums.tolist() == want._sums.tolist()
+            assert acc._totals.tolist() == want._totals.tolist()
+            assert acc.scale == want.scale

@@ -21,7 +21,12 @@ WORK/change with the same relative output paths:
   within boxes), so the sums change scale part way through;
 * `bigbox`: `mine-vsim` on a second corpus written there, a few dozen
   records whose boxes hold 200-400 candidates from every class of
-  confidence, so one box's pairs are summed in many slices.
+  confidence, so one box's pairs are summed in many slices;
+* `badlines`: `mine-vsim`, and `refine` with the fixture store, on a third
+  corpus written there: 3,000 valid records, enough candidates for several
+  chunks, with one line per fault the corpus reader skips spread among
+  them (`FAULT_LINES`, lines of two or three faults included), comment and
+  blank lines, so every warning the reader writes is compared.
 
 Every file written, and every command's standard output and error, must be
 the same byte for byte in both trees. Each command's wall time is printed
@@ -33,6 +38,7 @@ or exists on one side only, when one does; 0 when none does.
 from __future__ import annotations
 
 import json
+import math
 import os
 import random
 import subprocess
@@ -108,6 +114,102 @@ def write_bigbox_corpus(path: Path, n_records: int = 24, n_labels: int = 600) ->
             fh.write(json.dumps({"image": f"i{n}", "boxes": boxes}) + "\n")
 
 
+# labels of the fixture store, so `refine` has knowledge of some of them
+FIXTURE_LABELS = ["snake", "green mamba", "cucumber", "zucchini", "person", "racket",
+                  "tennis ball", "dog", "cat"]
+
+
+def candidate(label, conf) -> dict:
+    return {"label": label, "conf": conf}
+
+
+def line(image, *boxes) -> str:
+    """A corpus line of `boxes`, each (id, [candidate, ...])."""
+    return json.dumps({"image": image, "boxes": [{"id": box_id, "candidates": cands}
+                                                 for box_id, cands in boxes]})
+
+
+# one line per fault the corpus reader skips; each is named by what it holds
+GOOD = [candidate("snake", 0.5), candidate("dog", 0.25)]
+FAULT_LINES = [
+    "{broken",  # not JSON
+    '{"image": "x", "boxes": []} trailing',  # extra data after the value
+    "\ufeff" + line("bom", ("b", GOOD)),  # a byte order mark
+    "[1, 2]", '"text"', "7", "null",  # not an object
+    json.dumps({"boxes": []}),  # no image id
+    line(7, ("b", GOOD)), line(None, ("b", GOOD)), line(["i"], ("b", GOOD)),
+    line("bad-box-id", (3.5, GOOD)), line("null-box-id", (None, GOOD)),
+    json.dumps({"image": "no-box-id", "boxes": [{"candidates": GOOD}]}),
+    json.dumps({"image": "box-not-object", "boxes": ["b"]}),
+    json.dumps({"image": "cand-not-object", "boxes": [{"id": "b", "candidates": ["dog"]}]}),
+    json.dumps({"image": "no-conf", "boxes": [{"id": "b", "candidates": [{"label": "dog"}]}]}),
+    json.dumps({"image": "no-label", "boxes": [{"id": "b", "candidates": [{"conf": 0.5}]}]}),
+    line("label-number", ("b", [candidate(7, 0.5)])),
+    line("label-list", ("b", [candidate(["dog"], 0.5)])),
+    line("label-empty", ("b", [candidate("  ", 0.5)])),
+    line("conf-bool", ("b", [candidate("dog", True)])),
+    line("conf-string", ("b", [candidate("dog", "0.5")])),
+    line("conf-null", ("b", [candidate("dog", None)])),
+    line("conf-past-doubles", ("b", [candidate("dog", 10 ** 400)])),
+    line("conf-zero", ("b", [candidate("dog", 0)])),
+    line("conf-zero-float", ("b", [candidate("dog", 0.0)])),
+    line("conf-negative", ("b", [candidate("dog", -0.5)])),
+    line("conf-nan", ("b", [candidate("dog", math.nan)])),
+    line("conf-inf", ("b", [candidate("dog", math.inf)])),
+    line("conf-minus-inf", ("b", [candidate("dog", -math.inf)])),
+    '{"image": "conf-1e400", "boxes": [{"id": "b", "candidates": '
+    '[{"label": "dog", "conf": 1e400}]}]}',
+    line("surrogate-\ud800", ("b", GOOD)),
+    line("surrogate-box", ("b\udfff", GOOD)),
+    line("surrogate-label", ("b", [candidate("dog", 0.5), candidate("x\ud800y", 0.5)])),
+    line("dup-box", ("b", GOOD), ("b", GOOD)),
+    line("dup-label", ("b", [candidate("dog", 0.5), candidate(" Dog", 0.25)])),
+    line("r000003", ("b", GOOD)),  # the image id of a record kept before
+    # two or three faults: a type fault wins wherever it is; invariants
+    # break in the record's order: image id, then per box its id, then per
+    # candidate its label, confidence and repeat
+    line("multi-1-\ud800", ("b", [candidate("dog", "high")])),
+    line("multi-2", ("b", [candidate("dog", -1.0)]), ("c", [candidate(7, 0.5)])),
+    line("multi-3", ("b\ud800", [candidate("dog", 0.0)])),
+    line("multi-4", ("b", [candidate("dog", 0.0), candidate("dog", 0.5)])),
+    line("multi-5", ("b", [candidate("dog", 0.5), candidate("dog", 0.0)])),
+    line("multi-6", ("b", [candidate("x\udc00", math.nan)])),
+    line("multi-7", ("b", GOOD), ("b", [candidate("x\udc00", 0.5)])),
+    line("multi-8", ("b", [candidate("cat", math.inf)]), ("b", GOOD)),
+    line("multi-9-\udc00", ("b", GOOD), ("b", [candidate("dog", 0.0)])),
+    line("multi-10", ("b", [candidate("dog", 0.0)]), (None, GOOD)),
+    # a repeated image id with a box of no id, or of a lone surrogate
+    json.dumps({"image": "r000005", "boxes": [{"id": "b", "candidates": [
+        {"label": "dog", "conf": 0.5}]}, {"candidates": []}]}),
+    line("r000007", ("b\ud800", GOOD), ("b", [candidate("dog", True)])),
+]
+
+
+def write_badlines_corpus(path: Path, n_records: int = 3000) -> None:
+    """Valid records whose candidates fill several chunks, with the lines
+    of `FAULT_LINES` spread among them, comment and blank lines, and valid
+    lines that only blanks around them keep from being one JSON value."""
+    rng = random.Random(SEED)
+    labels = FIXTURE_LABELS + [f"label {n}" for n in range(40)]
+    faults = iter(FAULT_LINES)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for n in range(n_records):
+            boxes = [(f"b{b}", [candidate(label, rng.choice(CONF_CLASSES[0]))
+                                for label in rng.sample(labels, rng.randint(1, 5))])
+                     for b in range(rng.randint(1, 3))]
+            text = line(f"r{n:06d}", *boxes)
+            if n % 500 == 11:
+                text = f"  {text}\t "
+            fh.write(text + "\n")
+            if n % 60 == 5:
+                fh.write(next(faults, "# no fault left") + "\n")
+            if n % 700 == 3:
+                fh.write("\n   \n# a comment\n\t# another\n")
+        for text in faults:
+            fh.write(text + "\n")
+
+
 def env(tree: Path) -> dict:
     return dict(os.environ, PYTHONPATH=str(tree / "src"))
 
@@ -135,10 +237,14 @@ def run_all(tree: Path, side: Path, data: Path, fixtures: Path) -> None:
                                   *(a.format(out=out) for a in extra)])
     for step, argv in FIXTURE_CHAIN.items():
         run(tree, side, f"fixture/{step}", [a.format(fx=fixtures, out="fixture") for a in argv])
-    for corpus in ("rescale", "bigbox"):
+    for corpus in ("rescale", "bigbox", "badlines"):
         run(tree, side, f"{corpus}/mine-vsim", ["mine-vsim", "--corpus",
                                                 str(data / corpus / "corpus.jsonl"),
                                                 "--out", f"{corpus}/vsim.tsv"])
+    run(tree, side, "badlines/refine", [
+        "refine", "--detections", str(data / "badlines" / "corpus.jsonl"),
+        "--out", "badlines/refined.jsonl",
+        *(a.format(fx=fixtures, out="fixture") for a in FIXTURE_STORE)])
 
 
 def files(root: Path) -> dict[Path, bytes]:
@@ -166,6 +272,7 @@ def main(argv=None) -> int:
                            env=env(base), check=True, stdout=subprocess.DEVNULL)
     write_rescale_corpus(data / "rescale" / "corpus.jsonl")
     write_bigbox_corpus(data / "bigbox" / "corpus.jsonl")
+    write_badlines_corpus(data / "badlines" / "corpus.jsonl")
     fixtures = base / "tests" / "fixtures"
     run_all(base, work / "base", data, fixtures)
     run_all(change, work / "change", data, fixtures)
